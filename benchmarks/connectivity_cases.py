@@ -11,7 +11,9 @@ JSON-writing bench helper) so both measure exactly the same cases:
   per-source naive scans, the grouped per-object matrix walk
   (``vectorized=False``), and the default bitset-vectorized engine sharing
   an epoch-keyed :class:`EndpointUniverse` cache exactly as the cluster
-  facade does.
+  facade does;
+* ``universe_rebuild`` -- the endpoint-universe build that follows a policy
+  edit, over the network's warm (policy-free) endpoint topology.
 
 Fleets are built directly from runtime primitives (no full cluster install)
 so a thousand-pod case sets up in milliseconds and the timings isolate the
@@ -346,6 +348,47 @@ def bench_matrix_sources(
     }
 
 
+def bench_universe_rebuild(fleet: Fleet, repeats: int = 5) -> dict[str, float]:
+    """The endpoint-universe build that follows a policy edit, ns.
+
+    One matrix warms the network's endpoint topology; each timed repeat
+    then sees one more allow policy (a new epoch, so a new index and a
+    universe cache miss) and builds that epoch's universe -- what the first
+    surface query after a policy edit pays.  Indexes are constructed outside
+    the timer; resolving their isolating sets happens inside, as it does in
+    the query.
+    """
+    compiled = fleet.compiled_network()
+    compiled.reachability_matrix(
+        fleet.policies, fleet.pods, fleet.bindings
+    ).endpoint_universe()
+    services = [fleet.services[k % len(fleet.services)] for k in range(repeats)]
+    pending = iter(
+        [
+            PolicyIndex(
+                fleet.policies
+                + [
+                    allow_ports_policy(
+                        f"edit-{k}",
+                        equality_selector(app=service.name),
+                        [9090],
+                        namespace=service.namespace,
+                    )
+                ],
+                epoch=k + 1,
+            )
+            for k, service in enumerate(services)
+        ]
+    )
+
+    def rebuild():
+        compiled.reachability_matrix(
+            next(pending), fleet.pods, fleet.bindings
+        ).endpoint_universe()
+
+    return {"universe_rebuild": median_ns(rebuild, repeats)}
+
+
 def run_size(pod_count: int, repeats: int = 5) -> dict[str, float]:
     """All connectivity cases for one fleet size, as {case: ns_per_op}."""
     fleet = build_fleet(pod_count)
@@ -353,6 +396,7 @@ def run_size(pod_count: int, repeats: int = 5) -> dict[str, float]:
     results.update(bench_check_ingress(fleet, repeats))
     results.update(bench_reachable_endpoints(fleet, repeats))
     results.update(bench_matrix_sources(fleet, repeats=repeats))
+    results.update(bench_universe_rebuild(fleet, repeats))
     return results
 
 
@@ -389,6 +433,7 @@ def run_large_size(pod_count: int, repeats: int = 2) -> dict[str, float]:
     return {
         "matrix_sources/grouped": median_ns(run_grouped, repeats) / len(sources),
         "matrix_sources/compiled": median_ns(run_compiled, repeats) / len(sources),
+        **bench_universe_rebuild(fleet, repeats),
     }
 
 
@@ -417,4 +462,10 @@ def format_table(per_size: dict[int, dict[str, float]]) -> str:
             f"{'matrix vectorized':<22} {pod_count:>6} {grouped:>14,.0f} "
             f"{compiled:>15,.0f} {grouped / compiled:>8.1f}x"
         )
+    for pod_count, results in sorted(per_size.items()):
+        if "universe_rebuild" in results:
+            lines.append(
+                f"{'universe rebuild':<22} {pod_count:>6} "
+                f"{results['universe_rebuild']:>30,.0f} ns after a policy edit"
+            )
     return "\n".join(lines)

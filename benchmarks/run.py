@@ -46,7 +46,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from analysis_cases import run_analysis_suite  # noqa: E402
-from connectivity_cases import format_table, run_large_size, run_size  # noqa: E402
+from connectivity_cases import (  # noqa: E402
+    bench_matrix_sources,
+    bench_universe_rebuild,
+    build_fleet,
+    format_table,
+    run_large_size,
+    run_size,
+)
 from delta_cases import run_delta_suite  # noqa: E402
 from render_cases import run_render_suite  # noqa: E402
 from session_cases import run_session_suite  # noqa: E402
@@ -122,15 +129,15 @@ def bench_netpol_sweep(sample: int | None, repeats: int = 3) -> dict[str, float]
     if sample is not None:
         applications = applications[:sample]
 
-    def timed_cold(compiled: bool) -> float:
+    def timed_cold(compiled: bool) -> int:
         _clear_render_caches()
         gc.collect()
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            start = time.perf_counter()
+            start = time.perf_counter_ns()
             run_netpol_impact(applications=applications, compiled=compiled)
-            return time.perf_counter() - start
+            return time.perf_counter_ns() - start
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -146,10 +153,12 @@ def bench_netpol_sweep(sample: int | None, repeats: int = 3) -> dict[str, float]
         else:
             compiled = min(compiled, timed_cold(True))
             naive = min(naive, timed_cold(False))
+    # Unrounded: a smoke-sized sweep lasts milliseconds, so rounding to the
+    # millisecond would erase the ratio the gate reads.
     return {
-        "charts": float(len(applications)),
-        "netpol_impact/naive_s": round(naive, 3),
-        "netpol_impact/compiled_s": round(compiled, 3),
+        "netpol_impact/charts": float(len(applications)),
+        "netpol_impact/naive_s": naive / 1e9,
+        "netpol_impact/compiled_s": compiled / 1e9,
     }
 
 
@@ -351,6 +360,12 @@ FAULT_OVERHEAD_LIMIT = 1.03
 #: replaces (a small band absorbs scheduler noise at ~100 ms sweep scale).
 NETPOL_RATIO_LIMIT = 1.05
 
+#: The netpol arm's minimum catalogue sample.  At the 4-chart smoke sample
+#: only one or two charts make connection attempts, so the ratio would
+#: compare fixed per-sweep costs; 60 charts keep the smoke pass fast while
+#: both arms do measurable policy work.
+NETPOL_SAMPLE_FLOOR = 60
+
 #: ``--check`` gates the vectorized/grouped ratio of ``matrix_sources``:
 #: the default bitset engine must never be slower than the per-object walk
 #: it replaced.  The smoke fleet is tiny (microsecond surfaces), so a trip
@@ -372,6 +387,59 @@ DELTA_NOOP_RATIO_LIMIT = 0.05
 DELTA_SAMPLE_FLOOR = 60
 
 
+#: ``--check`` re-runs ``universe_rebuild`` at this fleet size and holds it
+#: to ``--tolerance`` x the committed case.  Rebuilding the endpoint universe
+#: from scratch after a policy edit (no reusable topology) costs ~10x the
+#: reclassification at 1000 pods, so the band trips on that regression while
+#: a 1000-pod fleet still builds in well under a second.
+REBUILD_CHECK_PODS = 1000
+
+
+def universe_rebuild_failure(
+    fresh_ns: float, committed_path: Path, tolerance: float
+) -> str | None:
+    """The ``universe_rebuild`` band against the committed record."""
+    key = f"universe_rebuild/pods={REBUILD_CHECK_PODS}"
+    committed_ns = json.loads(committed_path.read_text()).get("cases", {}).get(key)
+    if committed_ns is None:
+        return f"{key}: missing from the committed record"
+    if fresh_ns > committed_ns * tolerance:
+        return (
+            f"{key}: {fresh_ns / 1e6:.3f} ms exceeds {committed_ns / 1e6:.3f} ms "
+            f"× {tolerance:.1f} (committed {committed_path.name})"
+        )
+    return None
+
+
+def netpol_ratio_failure(e2e: dict) -> str | None:
+    """The ``NETPOL_RATIO_LIMIT`` gate over one end-to-end section.
+
+    A missing or zero arm fails too: a ratio that measured no work must not
+    pass as "on par".
+    """
+    naive = e2e.get("netpol_impact/naive_s") or 0.0
+    compiled = e2e.get("netpol_impact/compiled_s") or 0.0
+    if naive <= 0.0 or compiled <= 0.0:
+        return (
+            f"netpol_impact ratio: an arm measured no work "
+            f"(naive {naive!r} s, compiled {compiled!r} s)"
+        )
+    ratio = compiled / naive
+    if ratio > NETPOL_RATIO_LIMIT:
+        return (
+            f"netpol_impact ratio: compiled is {ratio:.4f}x naive "
+            f"(limit {NETPOL_RATIO_LIMIT:.2f}x)"
+        )
+    return None
+
+
+def _charts_for(e2e: dict, key: str) -> float:
+    """The chart count ``key`` was measured over (the netpol arm has its own)."""
+    if key.startswith("netpol_impact/") and e2e.get("netpol_impact/charts"):
+        return e2e["netpol_impact/charts"]
+    return e2e.get("charts") or 1.0
+
+
 def check_against_committed(
     record: dict, committed_path: Path, tolerance: float
 ) -> list[str]:
@@ -388,14 +456,12 @@ def check_against_committed(
     failures: list[str] = []
     committed_e2e = committed.get("end_to_end", {})
     fresh_e2e = record.get("end_to_end", {})
-    committed_charts = committed_e2e.get("charts") or 1.0
-    fresh_charts = fresh_e2e.get("charts") or 1.0
     for key in CHECK_KEYS:
         if key not in committed_e2e or key not in fresh_e2e:
             failures.append(f"{key}: missing from committed or fresh record")
             continue
-        committed_per_chart = committed_e2e[key] / committed_charts
-        fresh_per_chart = fresh_e2e[key] / fresh_charts
+        committed_per_chart = committed_e2e[key] / _charts_for(committed_e2e, key)
+        fresh_per_chart = fresh_e2e[key] / _charts_for(fresh_e2e, key)
         limit = committed_per_chart * tolerance
         if fresh_per_chart > limit:
             failures.append(
@@ -508,11 +574,12 @@ def main(argv: list[str] | None = None) -> int:
     e2e_repeats = 1 if args.smoke else min(args.repeats, 3)
     # The naive-vs-compiled pair is the one recorded comparison where the
     # delta is far below sweep noise, so the recording run takes extra pairs.
-    e2e = bench_netpol_sweep(sample, repeats=9 if args.full else e2e_repeats)
+    netpol_sample = sample if sample is None else max(sample, NETPOL_SAMPLE_FLOOR)
+    e2e = bench_netpol_sweep(netpol_sample, repeats=9 if args.full else e2e_repeats)
     print(
-        f"Figure 4b sweep over {int(e2e['charts'])} charts: "
-        f"naive {e2e['netpol_impact/naive_s']}s -> "
-        f"compiled {e2e['netpol_impact/compiled_s']}s "
+        f"Figure 4b sweep over {int(e2e['netpol_impact/charts'])} charts: "
+        f"naive {e2e['netpol_impact/naive_s']:.6f}s -> "
+        f"compiled {e2e['netpol_impact/compiled_s']:.6f}s "
         f"({ratio(e2e['netpol_impact/naive_s'], e2e['netpol_impact/compiled_s'])})"
     )
     evaluation = bench_full_evaluation(sample, repeats=e2e_repeats)
@@ -622,29 +689,29 @@ def main(argv: list[str] | None = None) -> int:
             )
             record["end_to_end"].update(retry)
             failures = check_against_committed(record, committed, args.tolerance)
-        netpol_ratio = (
-            record["end_to_end"]["netpol_impact/compiled_s"]
-            / record["end_to_end"]["netpol_impact/naive_s"]
-            if record["end_to_end"].get("netpol_impact/naive_s")
-            else 1.0
-        )
-        if netpol_ratio > NETPOL_RATIO_LIMIT:
-            # One cold pair over a 4-chart sample is noisy: remeasure with
-            # min-of-5 alternating pairs before declaring the compiled
-            # Figure 4b path a regression over the naive reference.
-            retry = bench_netpol_sweep(sample, repeats=5)
-            netpol_ratio = (
-                retry["netpol_impact/compiled_s"] / retry["netpol_impact/naive_s"]
-                if retry["netpol_impact/naive_s"]
-                else 1.0
+        if netpol_ratio_failure(record["end_to_end"]):
+            # One cold pair is noisy: remeasure with min-of-5 alternating
+            # pairs before declaring the compiled Figure 4b path a
+            # regression over the naive reference.
+            retry = bench_netpol_sweep(netpol_sample, repeats=5)
+            print(
+                f"netpol-impact remeasure (min of 5 pairs): "
+                f"{retry['netpol_impact/compiled_s'] / retry['netpol_impact/naive_s']:.4f}x"
             )
-            print(f"netpol-impact remeasure (min of 5 pairs): {netpol_ratio:.4f}x")
-            record["end_to_end"].update(retry)
-            if netpol_ratio > NETPOL_RATIO_LIMIT:
-                failures.append(
-                    f"netpol_impact ratio: compiled is {netpol_ratio:.4f}x naive "
-                    f"(limit {NETPOL_RATIO_LIMIT:.2f}x)"
-                )
+            failure = netpol_ratio_failure(retry)
+            if failure:
+                failures.append(failure)
+        rebuild_fleet = build_fleet(REBUILD_CHECK_PODS)
+        rebuild_ns = bench_universe_rebuild(rebuild_fleet)["universe_rebuild"]
+        print(f"universe rebuild ({REBUILD_CHECK_PODS} pods): {rebuild_ns / 1e6:.3f} ms")
+        if universe_rebuild_failure(rebuild_ns, committed, args.tolerance):
+            # Milliseconds per build: one slow scheduler slice can triple a
+            # median of five, so remeasure with nine before failing.
+            rebuild_ns = bench_universe_rebuild(rebuild_fleet, repeats=9)["universe_rebuild"]
+            print(f"universe-rebuild remeasure (median of 9): {rebuild_ns / 1e6:.3f} ms")
+            failure = universe_rebuild_failure(rebuild_ns, committed, args.tolerance)
+            if failure:
+                failures.append(failure)
         smoke_results = per_size[fleet_sizes[0]]
         vectorized_ratio = (
             smoke_results["matrix_sources/compiled"]
@@ -656,8 +723,6 @@ def main(argv: list[str] | None = None) -> int:
             # The smoke fleet's surfaces are microseconds: remeasure at 240
             # pods with median-of-5 before declaring the bitset engine a
             # regression over the grouped walk.
-            from connectivity_cases import bench_matrix_sources, build_fleet
-
             retry = bench_matrix_sources(build_fleet(240), repeats=5)
             vectorized_ratio = (
                 retry["matrix_sources/compiled"] / retry["matrix_sources/grouped"]

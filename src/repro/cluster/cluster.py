@@ -179,6 +179,7 @@ class Cluster:
         self.runtime.reset(self.behaviors, seed=self._seed)
         self.dns.reset()
         self.enforcer.reset()
+        self.network.reset()
         for node in self.nodes:
             node.pod_names.clear()
             node.ip = self.ipam.nodes.allocate(node.name)

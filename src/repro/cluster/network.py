@@ -15,18 +15,26 @@ isolating sets and named ports once, memoizes whole policy decisions by
 source/destination equivalence class, and answers all-pairs reachability
 without re-scanning the policy list per connection attempt.
 
-Surfaces are computed by the *vectorized* engine by default: destination
-endpoints are assigned stable integer ids in an :class:`EndpointUniverse`
-(one per policy epoch), endpoints sharing a policy-decision class are packed
-into int bitmasks, and a source class's reachable surface becomes a handful
-of memoized decisions OR-ed over class masks instead of a per-destination
-Python walk.  The per-object grouped walk stays in-tree behind
-``vectorized=False`` as the differential reference.
+Surfaces are computed by the *vectorized* engine by default, in two
+halves.  An :class:`EndpointTopology`, built once per snapshot of pods and
+bindings and kept by :class:`ClusterNetwork`, assigns destination endpoints
+stable integer ids, folds them into policy-free destination groups and
+resolves service backends; it never reads a policy.  An
+:class:`EndpointUniverse`, built once per policy epoch, classifies that
+topology: one isolating lookup per label class, then every group joins a
+policy-decision class whose endpoints are packed into an int bitmask.  A
+source class's reachable surface becomes a handful of memoized decisions
+OR-ed over class masks instead of a per-destination Python walk, and a
+policy edit costs a reclassification, not a rebuild.  The per-object
+grouped walk stays in-tree behind ``vectorized=False`` as the differential
+reference.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter, is_
 
 from ..k8s import NetworkPolicy
 from .cni import NetworkPolicyEnforcer, PolicyDecision
@@ -198,14 +206,44 @@ _BYTE_BITS = tuple(
 )
 
 
-def _pack_bits(bits: list[int], size: int) -> int:
-    """The int bitmask with exactly ``bits`` set, out of ``size`` positions."""
-    if not bits:
-        return 0
+def _pack_bits(bit_arrays, size: int) -> int:
+    """The int bitmask with every bit of ``bit_arrays`` set, out of ``size``."""
     buffer = bytearray((size + 7) >> 3)
-    for bit in bits:
-        buffer[bit >> 3] |= 1 << (bit & 7)
+    for bits in bit_arrays:
+        for bit in bits:
+            buffer[bit >> 3] |= 1 << (bit & 7)
     return int.from_bytes(buffer, "little")
+
+
+_sockets_of = attrgetter("sockets")
+
+
+class _DestinationGroup:
+    """Destination endpoints that no policy set can tell apart.
+
+    Keyed ``(host_network, namespace, label items, named-port table, port,
+    protocol)`` -- everything a policy decision reads from the destination
+    side -- so every endpoint of a group lands in the same decision class
+    under any policy set.  ``bits`` holds the group's endpoint ids;
+    service-only groups (a backend target with no pod endpoint) have none.
+    """
+
+    __slots__ = ("label_class", "named_key", "port", "protocol", "representative", "bits")
+
+    def __init__(
+        self,
+        label_class: int,
+        named_key: tuple,
+        port: int,
+        protocol: str,
+        representative: RunningPod,
+    ) -> None:
+        self.label_class = label_class
+        self.named_key = named_key
+        self.port = port
+        self.protocol = protocol
+        self.representative = representative
+        self.bits = array("I")
 
 
 class _DecisionClass:
@@ -233,12 +271,11 @@ class _DecisionClass:
 class _ServicePlan:
     """One service port with its backend resolution precomputed.
 
-    ``backends`` holds ``(decision token or None, is_loopback, ident)`` for
-    every backend whose named target resolves and whose socket exists --
-    the class-independent half of ``_class_service_success``, done once per
-    universe instead of once per source class.  A ``None`` token marks an
-    unisolated backend (its decision is a source-free allow); any other
-    token keys the universe's ``decision_classes``.
+    ``backends`` holds ``(group id, is_loopback, ident)`` for every backend
+    whose named target resolves and whose socket exists -- the policy-free
+    half of ``_class_service_success``, done once per topology instead of
+    once per source class.  A universe maps the group id to the backend's
+    decision token.
     """
 
     __slots__ = ("endpoint", "backends")
@@ -248,51 +285,72 @@ class _ServicePlan:
         self.backends = backends
 
 
-class EndpointUniverse:
-    """Stable integer ids for every destination endpoint of one snapshot.
+class EndpointTopology:
+    """The policy-free half of an endpoint universe, built once per snapshot.
 
-    Built once per policy epoch (the cluster facade caches it keyed on
-    ``(policy_epoch, include_loopback)``) and shared by every matrix over
-    that snapshot.  Ids follow the grouped reference walk exactly -- pods in
-    list order, sockets in pod order, with the same loopback/resolution
-    gating -- so a surface materialized from a bitmask is byte-identical,
-    entry for entry and in the same order, to the per-object walk.
+    Assigns every network-visible destination socket a stable integer id
+    (pods in list order, sockets in pod order, the first socket per
+    ``(port, protocol)`` winning as in ``socket_on``), folds the endpoints
+    into destination groups and resolves every service port's
+    backends to ``(group id, is_loopback, ident)``.  None of it reads a
+    policy, so one topology serves every policy epoch over the same pods
+    and bindings; :meth:`ClusterNetwork.endpoint_topology` keeps it and
+    rebuilds only when :meth:`matches` fails.
+
+    The topology keeps strong references to what it read, so identity
+    comparisons in :meth:`matches` are sound: each pod object and its
+    ``sockets`` list (a restart installs a fresh list, the contract
+    ``RunningPod.socket_on`` relies on), each binding's service and backend
+    pods, and ``include_loopback``.
     """
 
-    __slots__ = ("size", "pod_entries", "free_mask", "full_mask", "decision_classes", "service_plans")
+    __slots__ = (
+        "pods",
+        "sockets",
+        "bindings",
+        "include_loopback",
+        "size",
+        "full_mask",
+        "pod_entries",
+        "label_classes",
+        "groups",
+        "service_plans",
+    )
 
     def __init__(
         self,
-        index: PolicyIndex,
         pods: list[RunningPod],
         bindings: list[ServiceBinding],
         include_loopback: bool = False,
     ) -> None:
+        self.pods = list(pods)
+        self.sockets = list(map(_sockets_of, self.pods))
+        self.bindings = [(binding.service, list(binding.backends)) for binding in bindings]
+        self.include_loopback = include_loopback
         pod_entries: list[tuple[tuple[str, str], ReachableEndpoint]] = []
-        #: Bit *indices* per class, packed into int masks only once the walk
-        #: is done: appending an index is O(1) where ``mask |= 1 << n`` would
-        #: re-copy a size-n bigint per endpoint.
-        free_bits: list[int] = []
-        class_bits: dict[tuple, list[int]] = {}
-        classes: dict[tuple, _DecisionClass] = {}
-        #: destination -> (isolating, named_key, ports_matter), shared with
-        #: the service plan pass below so backends reuse the pod walk's
-        #: lookups.
-        dest_info: dict[tuple[str, str], tuple[tuple, tuple, bool]] = {}
-        for destination in pods:
-            isolating = index.isolating(destination)
-            # Same gating as ``ReachabilityMatrix._destination_info``: the
-            # named-port key participates in class identity only when some
-            # isolating policy names a port, and the port itself only when
-            # some rule lists ports, so the two layers build identical memo
-            # keys and share decision entries.
-            ports_matter = bool(isolating) and index.constrains_ports(isolating)
-            if ports_matter and index.uses_named_ports(isolating):
-                named_key = tuple(sorted(destination.named_ports().items()))
-            else:
-                named_key = ()
+        #: One representative pod per ``(host_network, namespace, label
+        #: items)``: the inputs of ``PolicyIndex.isolating``.
+        self.label_classes: list[RunningPod] = []
+        label_class_ids: dict[tuple, int] = {}
+        groups: list[_DestinationGroup] = []
+        group_ids: dict[tuple, int] = {}
+
+        def group_id(pod: RunningPod, port: int, protocol: str) -> int:
+            label_key = (pod.host_network, pod.namespace, pod.label_items())
+            label_class = label_class_ids.get(label_key)
+            if label_class is None:
+                label_class = label_class_ids[label_key] = len(self.label_classes)
+                self.label_classes.append(pod)
+            named_key = tuple(sorted(pod.named_ports().items()))
+            key = (label_class, named_key, port, protocol)
+            gid = group_ids.get(key)
+            if gid is None:
+                gid = group_ids[key] = len(groups)
+                groups.append(_DestinationGroup(label_class, named_key, port, protocol, pod))
+            return gid
+
+        for destination in self.pods:
             dest_ident = destination.ident
-            dest_info[dest_ident] = (isolating, named_key, ports_matter)
             # First socket per (port, protocol) wins, as in ``socket_on``:
             # a later duplicate is shadowed by the earlier one's interface.
             first_on: dict[tuple[int, str], Socket] = {}
@@ -302,7 +360,9 @@ class EndpointUniverse:
                     continue
                 if resolved.interface == "127.0.0.1":
                     continue
-                bit = len(pod_entries)
+                groups[group_id(destination, socket.port, socket.protocol)].bits.append(
+                    len(pod_entries)
+                )
                 pod_entries.append(
                     (
                         dest_ident,
@@ -317,45 +377,18 @@ class EndpointUniverse:
                         ),
                     )
                 )
-                if not isolating:
-                    # Decisions for unisolated destinations are source-free
-                    # allows; their endpoints join every class surface.
-                    free_bits.append(bit)
-                    continue
-                if ports_matter:
-                    key = (id(isolating), named_key, socket.port, socket.protocol)
-                else:
-                    key = (id(isolating), named_key, None, None)
-                bits = class_bits.get(key)
-                if bits is None:
-                    classes[key] = _DecisionClass(
-                        isolating, destination, socket.port, socket.protocol
-                    )
-                    class_bits[key] = [bit]
-                else:
-                    bits.append(bit)
-        size = len(pod_entries)
-        self.size = size
+        self.size = len(pod_entries)
+        self.full_mask = (1 << self.size) - 1
         self.pod_entries = pod_entries
-        self.free_mask = _pack_bits(free_bits, size)
-        self.full_mask = (1 << size) - 1
-        for key, bits in class_bits.items():
-            classes[key].mask = _pack_bits(bits, size)
         self.service_plans = tuple(
-            self._service_plan(index, binding, service_port, classes, dest_info)
+            self._service_plan(binding, service_port, group_id)
             for binding in bindings
             for service_port in binding.service.ports
         )
-        self.decision_classes = classes
+        self.groups = groups
 
     @staticmethod
-    def _service_plan(
-        index: PolicyIndex,
-        binding: ServiceBinding,
-        service_port,
-        classes: dict[tuple, _DecisionClass],
-        dest_info: dict[tuple[str, str], tuple[tuple, tuple]],
-    ) -> _ServicePlan:
+    def _service_plan(binding: ServiceBinding, service_port, group_id) -> _ServicePlan:
         service = binding.service
         endpoint = ReachableEndpoint(
             kind="service",
@@ -384,34 +417,110 @@ class EndpointUniverse:
             socket = backend.socket_on(target_port, protocol)
             if socket is None:
                 continue
-            info = dest_info.get(backend.ident)
-            if info is None:
-                isolating = index.isolating(backend)
-                ports_matter = bool(isolating) and index.constrains_ports(isolating)
-                if ports_matter and index.uses_named_ports(isolating):
-                    named = tuple(sorted(backend.named_ports().items()))
-                else:
-                    named = ()
-                info = (isolating, named, ports_matter)
-                dest_info[backend.ident] = info
-            isolating, named_key, ports_matter = info
-            if not isolating:
-                token = None
-            else:
-                if ports_matter:
-                    token = (id(isolating), named_key, target_port, protocol)
-                else:
-                    token = (id(isolating), named_key, None, None)
-                if token not in classes:
-                    # Service-only class: no pod-endpoint bits, but its
-                    # verdict is still needed once per source class.
-                    classes[token] = _DecisionClass(
-                        isolating, backend, target_port, protocol
-                    )
             backends.append(
-                (token, socket.interface == "127.0.0.1", backend.ident)
+                (
+                    group_id(backend, target_port, protocol),
+                    socket.interface == "127.0.0.1",
+                    backend.ident,
+                )
             )
         return _ServicePlan(endpoint, tuple(backends))
+
+    def matches(
+        self,
+        pods: list[RunningPod],
+        bindings: list[ServiceBinding],
+        include_loopback: bool,
+    ) -> bool:
+        """Whether this topology was built from exactly these inputs."""
+        if include_loopback != self.include_loopback:
+            return False
+        if len(pods) != len(self.pods) or len(bindings) != len(self.bindings):
+            return False
+        if not all(map(is_, pods, self.pods)):
+            return False
+        if not all(map(is_, map(_sockets_of, pods), self.sockets)):
+            return False
+        for binding, (service, backends) in zip(bindings, self.bindings):
+            if binding.service is not service or len(binding.backends) != len(backends):
+                return False
+            if not all(map(is_, binding.backends, backends)):
+                return False
+        return True
+
+
+class EndpointUniverse:
+    """One policy epoch's classification of an :class:`EndpointTopology`.
+
+    Built once per policy epoch (the cluster facade caches it keyed on
+    ``(policy_epoch, include_loopback)``) and shared by every matrix over
+    that snapshot.  Construction is cheap: ``PolicyIndex.isolating`` is
+    resolved once per label class, each destination group is mapped to its
+    decision-class token ``(id(isolating), named ports | (), port | None,
+    protocol | None)``, and class masks plus the unisolated ``free_mask``
+    are packed from the group bits.  Classes are created in the order of
+    their first endpoint id, with that endpoint's pod as representative
+    (service-only classes follow in service-plan order), so memo keys and
+    decisions match the per-object walk.  Ids and ``pod_entries`` come from
+    the topology, which follows the grouped reference walk exactly, so a
+    surface materialized from a bitmask is byte-identical, entry for entry
+    and in the same order, to the per-object walk.
+    """
+
+    __slots__ = (
+        "size",
+        "pod_entries",
+        "free_mask",
+        "full_mask",
+        "decision_classes",
+        "service_plans",
+        "group_tokens",
+    )
+
+    def __init__(self, index: PolicyIndex, topology: EndpointTopology) -> None:
+        isolating_of = [index.isolating(pod) for pod in topology.label_classes]
+        classes: dict[tuple, _DecisionClass] = {}
+        class_groups: dict[tuple, list] = {}
+        free_groups = []
+        #: group id -> decision token, ``None`` for unisolated groups.
+        group_tokens: list[tuple | None] = []
+        for group in topology.groups:
+            isolating = isolating_of[group.label_class]
+            if not isolating:
+                # Decisions for unisolated destinations are source-free
+                # allows; their endpoints join every class surface.
+                group_tokens.append(None)
+                free_groups.append(group.bits)
+                continue
+            # Same gating as ``ReachabilityMatrix._destination_info``: the
+            # named-port key participates in class identity only when some
+            # isolating policy names a port, and the port itself only when
+            # some rule lists ports, so the two layers build identical memo
+            # keys and share decision entries.
+            if index.constrains_ports(isolating):
+                named_key = group.named_key if index.uses_named_ports(isolating) else ()
+                token = (id(isolating), named_key, group.port, group.protocol)
+            else:
+                token = (id(isolating), (), None, None)
+            group_tokens.append(token)
+            bit_arrays = class_groups.get(token)
+            if bit_arrays is None:
+                classes[token] = _DecisionClass(
+                    isolating, group.representative, group.port, group.protocol
+                )
+                class_groups[token] = [group.bits]
+            else:
+                bit_arrays.append(group.bits)
+        size = topology.size
+        for token, bit_arrays in class_groups.items():
+            classes[token].mask = _pack_bits(bit_arrays, size)
+        self.size = size
+        self.pod_entries = topology.pod_entries
+        self.full_mask = topology.full_mask
+        self.free_mask = _pack_bits(free_groups, size)
+        self.decision_classes = classes
+        self.service_plans = topology.service_plans
+        self.group_tokens = group_tokens
 
     def materialize(self, mask: int) -> list:
         """The ``(ident, endpoint)`` entries of ``mask``, in id order."""
@@ -731,7 +840,9 @@ class ReachabilityMatrix:
 
         Shared across matrices of the same policy epoch when the cluster
         facade supplied its universe cache; safe because the epoch moves on
-        every mutation that could change pods, sockets or policies.
+        every mutation that could change pods, sockets or policies.  A
+        cache miss classifies the network's :class:`EndpointTopology`, which
+        is rebuilt only when the pods, sockets or bindings changed identity.
         """
         universe = self._universe
         if universe is None:
@@ -741,9 +852,10 @@ class ReachabilityMatrix:
                 key = (self.index.epoch, self.include_loopback)
                 universe = cache.get(key)
             if universe is None:
-                universe = EndpointUniverse(
-                    self.index, self.pods, self.bindings, self.include_loopback
+                topology = self._network.endpoint_topology(
+                    self.pods, self.bindings, self.include_loopback
                 )
+                universe = EndpointUniverse(self.index, topology)
                 if cache is not None:
                     cache[key] = universe
             self._universe = universe
@@ -786,10 +898,12 @@ class ReachabilityMatrix:
                 verdicts[token] = False
         pod_entries = universe.materialize(allowed)
         service_entries: list[tuple[frozenset[tuple[str, str]] | None, ReachableEndpoint]] = []
+        group_tokens = universe.group_tokens
         for plan in universe.service_plans:
             reachable_by_all = False
             self_only: list[tuple[str, str]] = []
-            for token, is_loopback, ident in plan.backends:
+            for group, is_loopback, ident in plan.backends:
+                token = group_tokens[group]
                 if token is not None and not verdicts[token]:
                     continue
                 if is_loopback:
@@ -924,6 +1038,35 @@ class ClusterNetwork:
     """Connectivity engine over running pods, bindings and policies."""
 
     enforcer: NetworkPolicyEnforcer = field(default_factory=NetworkPolicyEnforcer)
+    #: The last :class:`EndpointTopology` built, reused by every universe
+    #: whose pods, sockets and bindings are the very same objects.
+    _topology: EndpointTopology | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def endpoint_topology(
+        self,
+        pods: list[RunningPod],
+        bindings: list[ServiceBinding],
+        include_loopback: bool = False,
+    ) -> EndpointTopology:
+        """The policy-free endpoint topology of ``pods`` and ``bindings``.
+
+        Identity-keyed beside the epoch-keyed universe cache: a policy-only
+        edit moves the epoch but keeps every pod, socket list and binding
+        target, so the next universe reclassifies this topology instead of
+        rebuilding it.  A restart, an added or removed pod, a changed
+        backend list or a flipped ``include_loopback`` rebuilds it.
+        """
+        topology = self._topology
+        if topology is None or not topology.matches(pods, bindings, include_loopback):
+            topology = EndpointTopology(pods, bindings, include_loopback)
+            self._topology = topology
+        return topology
+
+    def reset(self) -> None:
+        """Drop the cached topology (and the pods it holds)."""
+        self._topology = None
 
     # Pod-to-pod ----------------------------------------------------------------
     def connect_pod_to_pod(

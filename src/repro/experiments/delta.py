@@ -152,13 +152,6 @@ class DeltaPlan:
                 return delta.classification
         return None
 
-    def pending_indices(self) -> list[int]:
-        """Indices (into the planned application list) needing recompute."""
-        return [
-            index
-            for index, delta in enumerate(self.charts)
-            if delta.classification != DELTA_UNCHANGED
-        ]
 
 
 @dataclass

@@ -253,13 +253,6 @@ class EvaluationResult:
         entry = self._index().get((dataset, name))
         return entry.report if entry is not None else None
 
-    def failure_for(self, dataset: str, name: str) -> AnalysisFailure | None:
-        """The failure record of one application, if it was quarantined."""
-        for failure in self.failed:
-            if failure.key == (dataset, name):
-                return failure
-        return None
-
     def by_dataset(self, dataset: str) -> list[AnalyzedApplication]:
         """Analyzed applications of one dataset, in catalogue order."""
         self._index()

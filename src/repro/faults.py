@@ -194,13 +194,6 @@ class FaultPlan:
             seen.setdefault(spec.site, None)
         return tuple(seen)
 
-    def spec_firing(self, site: str, key: str | None, attempt: int) -> FaultSpec | None:
-        """The first spec armed at ``site`` that fires for ``key``/``attempt``."""
-        for spec in self._by_site.get(site, ()):
-            if spec.matches(key, attempt):
-                return spec
-        return None
-
 
 def _rebuild_plan(specs: tuple[FaultSpec, ...], seed: int) -> FaultPlan:
     return FaultPlan(*specs, seed=seed)
@@ -220,26 +213,9 @@ def arm(plan: FaultPlan | None) -> None:
     _ARMED = plan
 
 
-def disarm() -> None:
-    """Remove the armed plan; every fault site goes back to free."""
-    arm(None)
-
-
 def armed_plan() -> FaultPlan | None:
     """The currently armed plan, if any."""
     return _ARMED
-
-
-@contextmanager
-def plan_armed(plan: FaultPlan | None) -> Iterator[None]:
-    """Arm ``plan`` for the duration of the block, restoring the previous plan."""
-    global _ARMED
-    previous = _ARMED
-    _ARMED = plan
-    try:
-        yield
-    finally:
-        _ARMED = previous
 
 
 @contextmanager

@@ -11,6 +11,7 @@ actually caught -- the gate is not vacuously green.
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,71 @@ def test_check_flags_missing_keys(tmp_path):
         {"end_to_end": {"charts": 4.0}}, committed, tolerance=3.0
     )
     assert len(failures) == len(bench_run.CHECK_KEYS)
+
+
+def test_netpol_gate_trips_on_fabricated_regression():
+    bench_run = _load_run_module()
+    on_par = {"netpol_impact/naive_s": 0.0112, "netpol_impact/compiled_s": 0.0113}
+    assert bench_run.netpol_ratio_failure(on_par) is None
+    regressed = {"netpol_impact/naive_s": 0.0112, "netpol_impact/compiled_s": 0.0150}
+    failure = bench_run.netpol_ratio_failure(regressed)
+    assert failure is not None and "compiled is 1.3393x naive" in failure
+    # The old vacuous pass: both arms rounded to 0.0 s fell back to 1.0x.
+    assert bench_run.netpol_ratio_failure(
+        {"netpol_impact/naive_s": 0.0, "netpol_impact/compiled_s": 0.0}
+    )
+    assert bench_run.netpol_ratio_failure({})
+
+
+def test_netpol_arm_records_unrounded_work_over_its_sample_floor():
+    bench_run = _load_run_module()
+    e2e = bench_run.bench_netpol_sweep(bench_run.NETPOL_SAMPLE_FLOOR, repeats=1)
+    assert e2e["netpol_impact/charts"] == bench_run.NETPOL_SAMPLE_FLOOR
+    assert e2e["netpol_impact/naive_s"] > 0.0
+    assert e2e["netpol_impact/compiled_s"] > 0.0
+
+
+def test_netpol_per_chart_band_uses_its_own_chart_count(tmp_path):
+    # The netpol arm runs over its sample floor while the other end-to-end
+    # keys run over the smoke sample; each is normalized by its own count.
+    bench_run = _load_run_module()
+    committed = tmp_path / "BENCH_connectivity.json"
+    committed.write_text(
+        '{"end_to_end": {"charts": 290.0, "evaluation/current_s": 0.29, '
+        '"netpol_impact/compiled_s": 0.29, "evaluation/store_warm_s": 0.29}}'
+    )
+    record = {
+        "end_to_end": {
+            "charts": 4.0,
+            "netpol_impact/charts": 60.0,
+            "evaluation/current_s": 0.004,
+            "netpol_impact/compiled_s": 0.06,  # 1 ms/chart over 60 charts
+            "evaluation/store_warm_s": 0.004,
+        }
+    }
+    assert bench_run.check_against_committed(record, committed, tolerance=3.0) == []
+    record["end_to_end"]["netpol_impact/compiled_s"] = 0.24  # 4 ms/chart
+    failures = bench_run.check_against_committed(record, committed, tolerance=3.0)
+    assert len(failures) == 1 and failures[0].startswith("netpol_impact/compiled_s")
+
+
+def test_universe_rebuild_gate_trips_on_fabricated_regression(tmp_path):
+    bench_run = _load_run_module()
+    key = f"universe_rebuild/pods={bench_run.REBUILD_CHECK_PODS}"
+    committed = tmp_path / "BENCH_connectivity.json"
+    committed.write_text(f'{{"cases": {{"{key}": 2000000.0}}}}')
+    assert bench_run.universe_rebuild_failure(5_000_000, committed, 3.0) is None
+    # A from-scratch rebuild (no reusable topology) costs ~10x.
+    failure = bench_run.universe_rebuild_failure(20_000_000, committed, 3.0)
+    assert failure is not None and "exceeds" in failure
+    committed.write_text('{"cases": {}}')
+    assert "missing" in bench_run.universe_rebuild_failure(1.0, committed, 3.0)
+
+
+def test_committed_record_carries_the_rebuild_case():
+    bench_run = _load_run_module()
+    record = json.loads((REPO_ROOT / "BENCH_connectivity.json").read_text())
+    assert record["cases"][f"universe_rebuild/pods={bench_run.REBUILD_CHECK_PODS}"] > 0
 
 
 def _load_cases_module():
