@@ -1190,50 +1190,11 @@ class ClusterNetwork:
 
         This is the lateral-movement surface of a compromised container: the
         paper's Figure 4b counts exactly these endpoints for misconfigured
-        applications after enabling network policies.  Runs through a
-        :class:`ReachabilityMatrix` unless the enforcer has the compiled
-        engine disabled, in which case the original per-attempt scan is kept
-        as the reference path.
+        applications after enabling network policies.  Always answered by a
+        :class:`ReachabilityMatrix`; with the compiled engine disabled (and
+        a raw policy list) that matrix is in naive mode, which keeps the
+        original per-attempt scan as the reference path.
         """
-        if isinstance(policies, PolicyIndex) or self.enforcer.use_index:
-            matrix = self.reachability_matrix(policies, pods, bindings, include_loopback)
-            return matrix.endpoints_from(source)
-        reachable: list[ReachableEndpoint] = []
-        for destination in pods:
-            if destination is source:
-                continue
-            for socket in destination.sockets:
-                if not include_loopback and not socket.reachable_from_network:
-                    continue
-                attempt = self.connect_pod_to_pod(
-                    policies, source, destination, socket.port, socket.protocol
-                )
-                if attempt.success:
-                    reachable.append(
-                        ReachableEndpoint(
-                            kind="pod",
-                            namespace=destination.namespace,
-                            name=destination.name,
-                            port=socket.port,
-                            protocol=socket.protocol,
-                            dynamic=socket.dynamic,
-                            app=destination.app,
-                        )
-                    )
-        for binding in bindings:
-            for service_port in binding.service.ports:
-                attempt = self.connect_pod_to_service(
-                    policies, source, binding, service_port.port, service_port.protocol
-                )
-                if attempt.success:
-                    reachable.append(
-                        ReachableEndpoint(
-                            kind="service",
-                            namespace=binding.service.namespace,
-                            name=binding.service.name,
-                            port=service_port.port,
-                            protocol=service_port.protocol,
-                            app=binding.service.labels.get("app.kubernetes.io/part-of", ""),
-                        )
-                    )
-        return reachable
+        return self.reachability_matrix(
+            policies, pods, bindings, include_loopback
+        ).endpoints_from(source)

@@ -28,7 +28,7 @@ from ..probe import RuntimeObservation
 from ..store import ResultStore
 from .cluster_wide import ApplicationInventory, global_collision_findings
 from .context import AnalysisContext
-from .findings import AnalysisReport, Finding, MisconfigClass
+from .findings import AnalysisReport, Finding
 from .rules import RuleRegistry, default_rules, evaluate_fused
 
 #: Analysis modes, used by the ablation experiments.
@@ -312,8 +312,3 @@ class MisconfigurationAnalyzer:
             if application in reports:
                 reports[application].add(findings)
         return reports
-
-    # Convenience ---------------------------------------------------------------------------
-    def detected_classes(self, report: AnalysisReport) -> set[MisconfigClass]:
-        """The misconfiguration classes present in ``report``."""
-        return report.classes_present()

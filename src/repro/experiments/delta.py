@@ -79,15 +79,14 @@ from ..core import (
     MisconfigClass,
     MisconfigurationAnalyzer,
 )
-from ..datasets import BuiltApplication, build_catalog, catalog_fingerprints
+from ..datasets import BuiltApplication, build_catalog
 from ..helm import Chart
 from ..store import ResultStore, read_prior_state
 from .evaluation import (
     AnalyzedApplication,
     EvaluationResult,
-    _PoolSweep,
-    _run_isolated,
     _split_outcomes,
+    _sweep,
     apply_cluster_wide_pass,
     classifier_fingerprints,
     result_key,
@@ -453,30 +452,15 @@ class DeltaEvaluator:
             faults.arm(fault_plan)
         shipped_plan = faults.armed_plan()
         try:
-            pending_apps = [applications[index] for index in pending]
-            if pending_apps and workers and workers > 1:
-                sweep = _PoolSweep(
-                    pending_apps,
-                    catalog_fingerprints(pending_apps),
-                    self.analyzer.settings,
-                    workers,
-                    self.max_attempts,
-                    chart_timeout,
-                    self.retry_backoff,
-                    shipped_plan,
-                )
-                outcomes = sweep.run()
-            else:
-                outcomes = [
-                    _run_isolated(
-                        app,
-                        self.analyzer,
-                        app.fingerprint(),
-                        self.max_attempts,
-                        self.retry_backoff,
-                    )
-                    for app in pending_apps
-                ]
+            outcomes = _sweep(
+                [applications[index] for index in pending],
+                self.analyzer,
+                workers=workers,
+                max_attempts=self.max_attempts,
+                chart_timeout=chart_timeout,
+                retry_backoff=self.retry_backoff,
+                fault_plan=shipped_plan,
+            )
         finally:
             if fault_plan is not None:
                 faults.arm(previous_plan)

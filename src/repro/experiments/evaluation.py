@@ -6,21 +6,35 @@ cache), derive the double runtime snapshot install-free via the pooled
 applications are analyzed, run the cluster-wide pass for global label
 collisions (M4*).  The result feeds every table and figure of Section 4.3.
 
+One executor
+------------
+
+Every sweep -- from-scratch, durable or a delta round -- runs its pending
+charts through one executor with two arms: *in-process* (one chart after
+another, each in its own fault scope) and a *process pool* (``workers`` > 1
+with the default analyzer).  A custom ``analyzer`` always runs in-process,
+since its rules or cluster factory may not pickle; this GIL-bound work
+gains nothing from threads.  Both arms return outcomes in catalogue order
+and hand each one to the durable sweep the moment it is decided.
+
 Fault isolation
 ---------------
 
-One malformed chart must not abort a 290-chart sweep.  By default
-(``fail_fast=False``) every per-chart exception -- in render, observation or
-rule evaluation -- becomes a structured :class:`AnalysisFailure` record on
-``EvaluationResult.failed`` instead of propagating, after up to
-``max_attempts`` retries with capped exponential backoff; a chart that still
-fails is *quarantined* and the sweep carries on.  Every healthy chart's
-report is byte-identical to a fault-free run (the chaos differential suite
-in ``tests/experiments/test_fault_isolation.py`` proves it under injected
-faults at every site).  ``fail_fast=True`` pins the historical
-raise-on-first-error semantics as the reference behaviour.
+One malformed chart must not abort a 290-chart sweep.  Every per-chart
+exception -- in render, observation or rule evaluation -- becomes a
+structured :class:`AnalysisFailure` record on ``EvaluationResult.failed``
+instead of propagating, after up to ``max_attempts`` retries with capped
+exponential backoff; a chart that still fails is *quarantined* and the
+sweep carries on.  Every healthy chart's report is byte-identical to a
+fault-free run (the chaos differential suite in
+``tests/experiments/test_fault_isolation.py`` proves it under injected
+faults at every site).  ``fail_fast=True`` is the same executor with
+``max_attempts=1`` that raises the first failure instead of recording it:
+the chart's own exception (in-process, or shipped back by the pool
+worker), ``BrokenProcessPool`` for a worker death, ``TimeoutError`` for a
+watchdog reap.
 
-The parallel process-pool sweep is additionally *self-healing*: it survives
+The pool arm is additionally *self-healing*: it survives
 ``BrokenProcessPool`` (a worker killed mid-task) by respawning the pool, and
 it enforces a per-chart wall-clock watchdog (``chart_timeout``) so a hung
 chart cannot stall the sweep.  Crash attribution is exact: charts that were
@@ -55,7 +69,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import (
@@ -63,11 +76,9 @@ from concurrent.futures import (
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 from .. import faults
@@ -301,6 +312,11 @@ def _analyze_application(
     return AnalyzedApplication(application=app, report=report, inventory=inventory)
 
 
+def _chart_error(exc: BaseException) -> BaseException:
+    """The chart's own exception, unwrapped from its stage attribution."""
+    return exc.original if isinstance(exc, AnalysisStageError) else exc
+
+
 def _failure_payload(exc: BaseException) -> tuple[str, str, str, str]:
     """(stage, error type, message, traceback) of a per-chart exception."""
     tb = "".join(traceback_module.format_exception(type(exc), exc, exc.__traceback__))
@@ -337,8 +353,13 @@ def _run_isolated(
     fingerprint: str | None,
     max_attempts: int,
     retry_backoff: float,
+    raise_first: bool = False,
 ) -> AnalyzedApplication | AnalysisFailure:
-    """Analyze one chart with in-process isolation: retry, then quarantine."""
+    """Analyze one chart with in-process isolation: retry, then quarantine.
+
+    ``raise_first`` re-raises the chart's own exception in place of the
+    quarantine record once the attempts run out.
+    """
     key = f"{app.dataset}/{app.name}"
     for attempt in range(1, max_attempts + 1):
         with faults.fault_scope(key, attempt):
@@ -350,6 +371,8 @@ def _run_isolated(
                 return analyzed
             except Exception as exc:
                 if attempt >= max_attempts:
+                    if raise_first:
+                        raise _chart_error(exc)
                     return _failure_from(app, _failure_payload(exc), attempt)
         time.sleep(_backoff_delay(attempt, retry_backoff))
     raise AssertionError("unreachable: max_attempts >= 1")  # pragma: no cover
@@ -499,7 +522,6 @@ class _DurableSweep:
         self._by_id = {
             f"{app.dataset}/{app.name}": index for index, app in enumerate(applications)
         }
-        self._lock = threading.Lock()
         self.previously = self.journal.begin(resume)
 
     def load(self) -> dict[int, AnalyzedApplication]:
@@ -528,10 +550,8 @@ class _DurableSweep:
             )
         return found
 
-    def note(
-        self, outcome: AnalyzedApplication | AnalysisFailure | None
-    ) -> AnalyzedApplication | AnalysisFailure | None:
-        """Publish one fresh outcome (entry + journal record); returns it."""
+    def note(self, outcome: AnalyzedApplication | AnalysisFailure) -> None:
+        """Publish one fresh outcome (entry + journal record)."""
         if isinstance(outcome, AnalyzedApplication):
             app = outcome.application
             uid = f"{app.dataset}/{app.name}"
@@ -547,10 +567,9 @@ class _DurableSweep:
                     },
                     kind=KIND_RESULT,
                 )
-            with self._lock:
-                self.computed += 1
-                if not stored:
-                    self.unstored += 1
+            self.computed += 1
+            if not stored:
+                self.unstored += 1
             self.journal.record(
                 uid, "ok", key, outcome.attempts,
                 source="computed" if stored else "computed-unstored",
@@ -559,14 +578,12 @@ class _DurableSweep:
                 else classifier_fingerprints(app, self.settings_fp),
             )
         elif isinstance(outcome, AnalysisFailure):
-            with self._lock:
-                self.failures += 1
+            self.failures += 1
             index = self._by_id.get(outcome.unique_id)
             self.journal.record(
                 outcome.unique_id, "failed", "", outcome.attempts, source="computed",
                 fingerprints=self.fingerprints[index] if index is not None else None,
             )
-        return outcome
 
     def merge(
         self,
@@ -613,10 +630,10 @@ def _analyze_application_in_subprocess(
     app: BuiltApplication,
     fingerprint: str,
     settings: AnalyzerSettings,
-    key: str | None = None,
-    attempt: int = 1,
-    capture: bool = False,
-) -> AnalyzedApplication | tuple:
+    key: str,
+    attempt: int,
+    raise_first: bool,
+) -> tuple:
     """Process-pool worker: rebuild the (default) analyzer from its settings.
 
     The parent ships each chart's content fingerprint alongside the chart so
@@ -625,29 +642,28 @@ def _analyze_application_in_subprocess(
     analyzer itself is cached per process (keyed on the settings), keeping
     one warm :class:`~repro.cluster.AnalysisSession` per worker.
 
-    ``capture=True`` (the fault-isolated sweep) returns ``("ok", analyzed)``
-    or a picklable ``("err", payload)`` instead of raising, so the parent's
-    submit/collect loop can distinguish a chart failure from a dead worker;
-    the default raises through, preserving the ``fail_fast`` reference
-    semantics of ``Executor.map``.  The parent owns the attempt counter and
-    ships it with the task, so injected fault scopes replay deterministically
-    across respawned pools.
+    Returns ``("ok", analyzed)`` or a picklable ``("err", payload)`` instead
+    of raising, so the parent's submit/collect loop can tell a chart failure
+    from a dead worker.  Under ``raise_first`` the chart's own exception
+    ships back through the future instead, as ``Executor.map`` would.  The
+    parent owns the attempt counter and ships it with the task, so injected
+    fault scopes replay deterministically across respawned pools.
     """
     global _WORKER_ANALYZER
     analyzer = _WORKER_ANALYZER
     if analyzer is None or analyzer.settings != settings:
         analyzer = MisconfigurationAnalyzer(settings=settings)
         _WORKER_ANALYZER = analyzer
-    with faults.fault_scope(key or f"{app.dataset}/{app.name}", attempt):
+    with faults.fault_scope(key, attempt):
         faults.fault_point(faults.WORKER_KILL)
-        if not capture:
-            return _analyze_application(app, analyzer, fingerprint)
         try:
             analyzed = _analyze_application(app, analyzer, fingerprint, stage_errors=True)
-            analyzed.attempts = attempt
-            return ("ok", analyzed)
         except Exception as exc:  # ships as data: workers never poison the pool
+            if raise_first:  # ...except when the parent asked to re-raise it
+                raise _chart_error(exc)
             return ("err", _failure_payload(exc))
+    analyzed.attempts = attempt
+    return ("ok", analyzed)
 
 
 class _PoolSweep:
@@ -663,6 +679,10 @@ class _PoolSweep:
     is charged.  Charts never observed to fail attributably keep their
     attempt count, which makes the whole schedule deterministic for any
     seeded fault plan.
+
+    Under ``raise_first`` the first failure raises instead: a chart's own
+    exception as the worker shipped it, ``BrokenProcessPool`` for a worker
+    death, ``TimeoutError`` for a watchdog reap.
     """
 
     def __init__(
@@ -676,6 +696,7 @@ class _PoolSweep:
         retry_backoff: float,
         fault_plan: faults.FaultPlan | None,
         on_outcome=None,
+        raise_first: bool = False,
     ) -> None:
         self.applications = applications
         self.fingerprints = fingerprints
@@ -688,6 +709,7 @@ class _PoolSweep:
         #: Called with each finalized outcome the moment it is decided (ok
         #: or quarantine) -- the durable sweep's per-chart persistence hook.
         self.on_outcome = on_outcome
+        self.raise_first = raise_first
         self.outcomes: list[AnalyzedApplication | AnalysisFailure | None]
         self.outcomes = [None] * len(applications)
         self.attempts = [0] * len(applications)
@@ -725,9 +747,9 @@ class _PoolSweep:
             app,
             self.fingerprints[index],
             self.settings,
-            key=f"{app.dataset}/{app.name}",
-            attempt=self.attempts[index] + 1,
-            capture=True,
+            f"{app.dataset}/{app.name}",
+            self.attempts[index] + 1,
+            self.raise_first,
         )
 
     def _record(self, index: int, tag: str, payload) -> bool:
@@ -790,6 +812,8 @@ class _PoolSweep:
             for fut in done:
                 index = futures[fut]
                 exc = fut.exception()
+                if exc is not None and self.raise_first:
+                    raise exc  # the chart's own error, or the worker death
                 if isinstance(exc, BrokenExecutor):
                     broke = True
                     if solo or fut in overdue:
@@ -825,6 +849,10 @@ class _PoolSweep:
                     overdue.update(late)
                     broke = True
                     self._terminate_pool()
+                    if self.raise_first:
+                        raise TimeoutError(
+                            self._pool_death_payload(futures[late[0]], timed_out=True)[2]
+                        )
         return retry, suspects, broke
 
     def _run_round(self, batch: list[int], solo: bool) -> list[int]:
@@ -852,6 +880,52 @@ class _PoolSweep:
         return list(self.outcomes)
 
 
+def _sweep(
+    pending: list[BuiltApplication],
+    analyzer: MisconfigurationAnalyzer,
+    workers: int | None,
+    max_attempts: int,
+    chart_timeout: float | None,
+    retry_backoff: float,
+    fault_plan: faults.FaultPlan | None,
+    on_outcome=None,
+    raise_first: bool = False,
+) -> list[AnalyzedApplication | AnalysisFailure]:
+    """The one sweep executor: every pending chart to an outcome, in order.
+
+    Two arms.  ``workers`` > 1 runs the self-healing :class:`_PoolSweep`
+    (watchdog, respawn, solo-bisect blame) on a process pool whose workers
+    rebuild the analyzer from ``analyzer.settings`` -- callers pass
+    ``workers=None`` for an analyzer that settings cannot rebuild.
+    Otherwise charts run in-process through :func:`_run_isolated`.  Either
+    arm retries up to ``max_attempts`` and quarantines, handing each
+    outcome to ``on_outcome`` the moment it is decided; ``raise_first``
+    raises the first failure instead of quarantining it.
+    """
+    if workers and workers > 1:
+        return _PoolSweep(
+            pending,
+            catalog_fingerprints(pending),
+            analyzer.settings,
+            workers,
+            max_attempts,
+            chart_timeout,
+            retry_backoff,
+            fault_plan,
+            on_outcome=on_outcome,
+            raise_first=raise_first,
+        ).run()
+    outcomes = []
+    for app in pending:
+        outcome = _run_isolated(
+            app, analyzer, app.fingerprint(), max_attempts, retry_backoff, raise_first
+        )
+        if on_outcome is not None:
+            on_outcome(outcome)
+        outcomes.append(outcome)
+    return outcomes
+
+
 def run_full_evaluation(
     datasets: tuple[str, ...] = DATASET_ORDER,
     analyzer: MisconfigurationAnalyzer | None = None,
@@ -868,26 +942,28 @@ def run_full_evaluation(
 ) -> EvaluationResult:
     """Analyze the complete catalogue and run the cluster-wide pass.
 
-    ``workers`` enables the parallel evaluation path.  Charts are fully
-    independent (observations share nothing across charts, the rules are
-    stateless), so with the default analyzer they fan out on a *process*
-    pool -- real parallelism for this CPU-bound, GIL-holding workload; the
-    per-chart inputs and reports are plain picklable dataclasses.  A custom
-    ``analyzer`` (whose rules or cluster factory may not pickle) falls back
-    to a thread pool, which mainly helps if its hooks release the GIL.
-    Result ordering is deterministic either way, and the cluster-wide M4*
-    pass always runs sequentially afterwards over the ordered inventories.
+    Every pending chart goes through one executor with two arms.  With
+    ``workers`` > 1 and the default analyzer, charts fan out on a *process*
+    pool -- real parallelism for this CPU-bound, GIL-holding workload; they
+    are fully independent, and the per-chart inputs and reports are plain
+    picklable dataclasses.  Otherwise they run in-process, one after
+    another; a custom ``analyzer`` (whose rules or cluster factory may not
+    pickle) always does, whatever ``workers`` says.  Result ordering is
+    catalogue order either way, and the cluster-wide M4* pass always runs
+    sequentially afterwards over the ordered inventories.
 
-    Fault isolation (the default, ``fail_fast=False``): a failing chart is
-    retried up to ``max_attempts`` times with capped exponential backoff
-    (``retry_backoff`` seconds, doubling), then quarantined as an
-    :class:`AnalysisFailure` on ``EvaluationResult.failed`` while the sweep
-    continues.  On the process-pool path the sweep also survives worker
-    deaths (``BrokenProcessPool``) by respawning the pool, and
-    ``chart_timeout`` arms a per-chart wall-clock watchdog (process pool
-    only: in-process execution cannot be preempted).  ``fail_fast=True``
-    restores the historical behaviour -- first error raises, no retries, no
-    failure records.  ``fault_plan`` arms a deterministic
+    Fault isolation: a failing chart is retried up to ``max_attempts``
+    times with capped exponential backoff (``retry_backoff`` seconds,
+    doubling), then quarantined as an :class:`AnalysisFailure` on
+    ``EvaluationResult.failed`` while the sweep continues.  The pool arm
+    also survives worker deaths (``BrokenProcessPool``) by respawning the
+    pool, and ``chart_timeout`` arms a per-chart wall-clock watchdog (pool
+    arm only: in-process execution cannot be preempted).
+    ``fail_fast=True`` means ``max_attempts=1`` plus raise-on-first: the
+    first failing chart's own exception propagates (unwrapped from its
+    stage attribution, or shipped back by the pool worker), a worker death
+    raises ``BrokenProcessPool`` and a watchdog reap ``TimeoutError``; no
+    failure records are kept.  ``fault_plan`` arms a deterministic
     :class:`repro.faults.FaultPlan` for the duration of the sweep (parent
     and workers alike) -- the chaos suites' entry point.
 
@@ -902,7 +978,7 @@ def run_full_evaluation(
 
     ``settings`` builds the default analyzer from explicit
     :class:`~repro.core.AnalyzerSettings` while keeping every default-path
-    optimization (process pools, store shipping) -- the delta evaluator's
+    optimization (the pool arm, store shipping) -- the delta evaluator's
     entry point into non-default-settings sweeps.  It is mutually exclusive
     with ``analyzer``, whose custom rules or cluster factory the sweep
     cannot vouch for.
@@ -938,89 +1014,19 @@ def run_full_evaluation(
         pending = [
             app for index, app in enumerate(applications) if index not in loaded
         ]
-        note = durable.note if durable is not None else (lambda outcome: outcome)
-        outcomes: list[AnalyzedApplication | AnalysisFailure | None] = []
-        if pending and workers and workers > 1 and not custom_analyzer:
-            fingerprints = catalog_fingerprints(pending)
-            if fail_fast:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_pool_worker_init,
-                    initargs=(shipped_plan,),
-                ) as pool:
-                    # Chunk the map: per-chart analysis is ~10ms, so one-item
-                    # tasks would spend comparable time on pickling round-trips.
-                    for analyzed in pool.map(
-                        partial(
-                            _analyze_application_in_subprocess,
-                            settings=analyzer.settings,
-                        ),
-                        pending,
-                        fingerprints,
-                        chunksize=max(len(pending) // (workers * 4), 1),
-                    ):
-                        outcomes.append(note(analyzed))
-            else:
-                sweep = _PoolSweep(
-                    pending,
-                    fingerprints,
-                    analyzer.settings,
-                    workers,
-                    max_attempts,
-                    chart_timeout,
-                    retry_backoff,
-                    shipped_plan,
-                    on_outcome=note if durable is not None else None,
-                )
-                outcomes = sweep.run()
-        elif pending and workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                if fail_fast:
-                    for analyzed in pool.map(
-                        lambda app: _analyze_application(
-                            app, analyzer, app.fingerprint()
-                        ),
-                        pending,
-                    ):
-                        outcomes.append(note(analyzed))
-                else:
-                    # ``fault_scope`` is thread-local, so per-chart scoping
-                    # holds on the thread pool too.  No watchdog: threads
-                    # cannot be preempted.  ``note`` runs on the pool threads
-                    # (it is lock-guarded) so persistence stays per-chart.
-                    outcomes = list(
-                        pool.map(
-                            lambda app: note(
-                                _run_isolated(
-                                    app,
-                                    analyzer,
-                                    app.fingerprint(),
-                                    max_attempts,
-                                    retry_backoff,
-                                )
-                            ),
-                            pending,
-                        )
-                    )
-        elif fail_fast:
-            for app in pending:
-                outcomes.append(note(_analyze_application(app, analyzer, app.fingerprint())))
-        else:
-            for app in pending:
-                outcomes.append(
-                    note(
-                        _run_isolated(
-                            app, analyzer, app.fingerprint(), max_attempts, retry_backoff
-                        )
-                    )
-                )
+        outcomes = _sweep(
+            pending,
+            analyzer,
+            workers=None if custom_analyzer else workers,
+            max_attempts=1 if fail_fast else max_attempts,
+            chart_timeout=chart_timeout,
+            retry_backoff=retry_backoff,
+            fault_plan=shipped_plan,
+            on_outcome=durable.note if durable is not None else None,
+            raise_first=fail_fast,
+        )
         merged = durable.merge(loaded, outcomes) if durable is not None else outcomes
-        if fail_fast:
-            result.analyzed = [
-                outcome for outcome in merged if isinstance(outcome, AnalyzedApplication)
-            ]
-        else:
-            _split_outcomes(merged, result)
+        _split_outcomes(merged, result)
     finally:
         if durable is not None:
             result.store_stats = durable.finish()

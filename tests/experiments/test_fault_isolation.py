@@ -13,9 +13,12 @@ per-chart watchdog.  ``fail_fast=True`` is pinned as the reference
 behaviour: first error raises, nothing is swallowed.
 """
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro import faults
+from repro.core import AnalyzerSettings, MisconfigurationAnalyzer
 from repro.datasets import build_catalog
 from repro.experiments import run_full_evaluation
 from repro.experiments.evaluation import (
@@ -325,3 +328,49 @@ class TestParallelFaultIsolation:
         assert [failure.to_dict() for failure in serial.failed] == [
             failure.to_dict() for failure in parallel.failed
         ]
+
+    def test_pooled_fail_fast_raises_the_charts_own_error(self, applications):
+        # fail_fast on the pool is max_attempts=1 plus raise-on-first: the
+        # worker's exception ships back through its future and re-raises.
+        plan = poison_plan(faults.RULES, None)
+        with pytest.raises(faults.InjectedFault):
+            run_full_evaluation(
+                applications=applications, workers=2, fault_plan=plan, fail_fast=True
+            )
+
+    def test_pooled_fail_fast_raises_on_worker_death_and_watchdog(self, applications):
+        kill = poison_plan(
+            faults.WORKER_KILL, (chart_key(applications, 2),), kind="kill"
+        )
+        with pytest.raises(BrokenProcessPool):
+            run_full_evaluation(
+                applications=applications, workers=2, fault_plan=kill, fail_fast=True
+            )
+        hang = poison_plan(
+            faults.OBSERVE, (chart_key(applications, 1),), kind="hang", hang_s=30.0
+        )
+        with pytest.raises(TimeoutError):
+            run_full_evaluation(
+                applications=applications,
+                workers=2,
+                fault_plan=hang,
+                fail_fast=True,
+                chart_timeout=1.0,
+            )
+
+    def test_custom_analyzer_with_workers_matches_serial(self, applications):
+        # A custom analyzer may not pickle, so workers > 1 runs it in-process.
+        def custom():
+            return MisconfigurationAnalyzer(
+                settings=AnalyzerSettings(double_snapshot=False, host_port_filtering=False)
+            )
+
+        serial = run_full_evaluation(applications=applications, analyzer=custom())
+        pooled = run_full_evaluation(
+            applications=applications, analyzer=custom(), workers=2
+        )
+        assert_identical(
+            canonical_evaluation(serial),
+            canonical_evaluation(pooled),
+            "custom analyzer, workers=2 vs serial",
+        )

@@ -202,3 +202,68 @@ def test_small_fleets_still_use_the_endpoint_controller():
     assert [
         (b.service.name, [p.ident for p in b.backends]) for b in fleet.bindings
     ] == [(b.service.name, [p.ident for p in b.backends]) for b in reference]
+
+
+def test_evaluation_and_store_gates_trip_on_fabricated_regression(tmp_path):
+    # The evaluation and store arms run over their sample floor and record
+    # unrounded seconds; a per-chart regression past the band still trips.
+    bench_run = _load_run_module()
+    floor = float(bench_run.EVALUATION_SAMPLE_FLOOR)
+    committed = tmp_path / "BENCH_connectivity.json"
+    committed.write_text(
+        '{"end_to_end": {"charts": 290.0, "evaluation/current_s": 0.29, '
+        '"netpol_impact/compiled_s": 0.29, "evaluation/store_warm_s": 0.29}}'
+    )
+    record = {
+        "end_to_end": {
+            "charts": floor,
+            "evaluation/store_charts": floor,
+            "evaluation/current_s": floor * 0.002,  # 2 ms/chart vs 1 ms/chart
+            "netpol_impact/compiled_s": floor * 0.001,
+            "evaluation/store_warm_s": floor * 0.002,
+        }
+    }
+    assert bench_run.check_against_committed(record, committed, tolerance=3.0) == []
+    record["end_to_end"]["evaluation/current_s"] = floor * 0.0031
+    record["end_to_end"]["evaluation/store_warm_s"] = floor * 0.0031
+    failures = bench_run.check_against_committed(record, committed, tolerance=3.0)
+    assert sorted(failure.split(":")[0] for failure in failures) == [
+        "evaluation/current_s",
+        "evaluation/store_warm_s",
+    ]
+
+
+def test_store_arm_is_normalized_by_its_own_chart_count(tmp_path):
+    bench_run = _load_run_module()
+    committed = tmp_path / "BENCH_connectivity.json"
+    committed.write_text(
+        '{"end_to_end": {"charts": 290.0, "evaluation/current_s": 0.29, '
+        '"netpol_impact/compiled_s": 0.29, "evaluation/store_warm_s": 0.29}}'
+    )
+    record = {
+        "end_to_end": {
+            "charts": 4.0,
+            "evaluation/store_charts": 60.0,
+            "evaluation/current_s": 0.004,
+            "netpol_impact/compiled_s": 0.004,
+            "evaluation/store_warm_s": 0.06,  # 1 ms/chart over 60 charts
+        }
+    }
+    assert bench_run.check_against_committed(record, committed, tolerance=3.0) == []
+
+
+def test_evaluation_and_store_arms_record_unrounded_work_over_the_floor():
+    bench_run = _load_run_module()
+    floor = bench_run.EVALUATION_SAMPLE_FLOOR
+    evaluation = bench_run.bench_full_evaluation(floor, repeats=1)
+    assert evaluation["charts"] >= floor
+    store = bench_run.bench_store_sweep(floor, repeats=1)
+    assert store["evaluation/store_charts"] >= floor
+    for seconds in (
+        evaluation["evaluation/current_s"],
+        store["evaluation/store_off_s"],
+        store["evaluation/store_warm_s"],
+    ):
+        assert seconds > 0.0
+        # Unrounded: a millisecond-rounded figure would be a multiple of 1e-3.
+        assert round(seconds, 3) != seconds
