@@ -7,10 +7,9 @@ JSON-writing bench helper) so both measure exactly the same cases:
 * ``reachable_endpoints`` -- the full lateral-movement surface of one source
   pod, pre-PR per-attempt path vs the cached ``ReachabilityMatrix``;
 * ``matrix_sources`` -- many sources sharing one matrix (the all-pairs use
-  case), where the decision memo amortizes across sources.  Three arms:
-  per-source naive scans, the grouped per-object matrix walk
-  (``vectorized=False``), and the default bitset-vectorized engine sharing
-  an epoch-keyed :class:`EndpointUniverse` cache exactly as the cluster
+  case), where the decision memo amortizes across sources.  Two arms:
+  per-source naive scans, and the bitset-vectorized matrix sharing an
+  epoch-keyed :class:`EndpointUniverse` cache exactly as the cluster
   facade does;
 * ``universe_rebuild`` -- the endpoint-universe build that follows a policy
   edit, over the network's warm (policy-free) endpoint topology.
@@ -300,36 +299,23 @@ def bench_reachable_endpoints(fleet: Fleet, repeats: int = 5) -> dict[str, float
     }
 
 
-def bench_matrix_sources(
+def _matrix_sources(fleet: Fleet, source_count: int) -> list[RunningPod]:
+    return fleet.pods[:: max(len(fleet.pods) // source_count, 1)][:source_count]
+
+
+def bench_matrix_compiled(
     fleet: Fleet, source_count: int = 16, repeats: int = 5
 ) -> dict[str, float]:
-    """Many sources sharing one ReachabilityMatrix vs per-source naive scans.
+    """Many sources sharing one bitset-vectorized ReachabilityMatrix, ns/src.
 
-    ``matrix_sources/grouped`` is the per-object matrix walk
-    (``vectorized=False``, the pre-PR compiled engine);
-    ``matrix_sources/compiled`` is the default bitset-vectorized engine.
-    The vectorized arm shares an epoch-keyed universe cache across matrix
-    constructions, exactly as ``Cluster.reachability_matrix`` does, so the
-    median measures the steady state the facade actually serves; the
-    first (cold) repeat still pays the universe build.
+    Shares an epoch-keyed universe cache across matrix constructions,
+    exactly as ``Cluster.reachability_matrix`` does, so the median measures
+    the steady state the facade actually serves; the first (cold) repeat
+    still pays the universe build.
     """
-    naive = fleet.naive_network()
     compiled = fleet.compiled_network()
-    sources = fleet.pods[:: max(len(fleet.pods) // source_count, 1)][:source_count]
+    sources = _matrix_sources(fleet, source_count)
     universe_cache: dict = {}
-
-    def run_naive():
-        for source in sources:
-            naive.reachable_endpoints(
-                fleet.policies, source, fleet.pods, fleet.bindings
-            )
-
-    def run_grouped():
-        matrix = compiled.reachability_matrix(
-            fleet.policies, fleet.pods, fleet.bindings, vectorized=False
-        )
-        for source in sources:
-            matrix.endpoints_from(source)
 
     def run_compiled():
         matrix = compiled.reachability_matrix(
@@ -341,10 +327,25 @@ def bench_matrix_sources(
         for source in sources:
             matrix.endpoints_from(source)
 
+    return {"matrix_sources/compiled": median_ns(run_compiled, repeats) / len(sources)}
+
+
+def bench_matrix_sources(
+    fleet: Fleet, source_count: int = 16, repeats: int = 5
+) -> dict[str, float]:
+    """Many sources sharing one ReachabilityMatrix vs per-source naive scans."""
+    naive = fleet.naive_network()
+    sources = _matrix_sources(fleet, source_count)
+
+    def run_naive():
+        for source in sources:
+            naive.reachable_endpoints(
+                fleet.policies, source, fleet.pods, fleet.bindings
+            )
+
     return {
         "matrix_sources/naive": median_ns(run_naive, repeats) / len(sources),
-        "matrix_sources/grouped": median_ns(run_grouped, repeats) / len(sources),
-        "matrix_sources/compiled": median_ns(run_compiled, repeats) / len(sources),
+        **bench_matrix_compiled(fleet, source_count, repeats),
     }
 
 
@@ -401,38 +402,15 @@ def run_size(pod_count: int, repeats: int = 5) -> dict[str, float]:
 
 
 def run_large_size(pod_count: int, repeats: int = 2) -> dict[str, float]:
-    """The matrix arms only, for the slow 10k/50k fleets.
+    """The compiled matrix arm only, for the slow 10k/50k fleets.
 
     The per-source naive scan is omitted: at these sizes it would take
     minutes per repeat without adding information (its scaling is pinned by
-    the 30/240/1000 series).  Grouped vs vectorized is the comparison the
-    big fleets exist to measure.
+    the 30/240/1000 series).
     """
     fleet = build_fleet(pod_count)
-    compiled = fleet.compiled_network()
-    sources = fleet.pods[:: max(len(fleet.pods) // 16, 1)][:16]
-    universe_cache: dict = {}
-
-    def run_grouped():
-        matrix = compiled.reachability_matrix(
-            fleet.policies, fleet.pods, fleet.bindings, vectorized=False
-        )
-        for source in sources:
-            matrix.endpoints_from(source)
-
-    def run_compiled():
-        matrix = compiled.reachability_matrix(
-            fleet.policies,
-            fleet.pods,
-            fleet.bindings,
-            universe_cache=universe_cache,
-        )
-        for source in sources:
-            matrix.endpoints_from(source)
-
     return {
-        "matrix_sources/grouped": median_ns(run_grouped, repeats) / len(sources),
-        "matrix_sources/compiled": median_ns(run_compiled, repeats) / len(sources),
+        **bench_matrix_compiled(fleet, repeats=repeats),
         **bench_universe_rebuild(fleet, repeats),
     }
 
@@ -453,15 +431,6 @@ def format_table(per_size: dict[int, dict[str, float]]) -> str:
                 f"{case:<22} {pod_count:>6} {naive:>14,.0f} {compiled:>15,.0f} "
                 f"{naive / compiled:>8.1f}x"
             )
-    for pod_count, results in sorted(per_size.items()):
-        grouped = results.get("matrix_sources/grouped")
-        compiled = results.get("matrix_sources/compiled")
-        if grouped is None or not compiled:
-            continue
-        lines.append(
-            f"{'matrix vectorized':<22} {pod_count:>6} {grouped:>14,.0f} "
-            f"{compiled:>15,.0f} {grouped / compiled:>8.1f}x"
-        )
     for pod_count, results in sorted(per_size.items()):
         if "universe_rebuild" in results:
             lines.append(

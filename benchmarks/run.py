@@ -47,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from analysis_cases import run_analysis_suite  # noqa: E402
 from connectivity_cases import (  # noqa: E402
-    bench_matrix_sources,
+    bench_matrix_compiled,
     bench_universe_rebuild,
     build_fleet,
     format_table,
@@ -62,8 +62,8 @@ from repro.store import atomic_write_text  # noqa: E402
 
 FLEET_SIZES = (30, 240, 1000)
 SMOKE_FLEET_SIZES = (30,)
-#: Fleet sizes for the slow matrix-only cases (grouped vs vectorized);
-#: run with ``--full``, and marked ``slow`` in the pytest harness.
+#: Fleet sizes for the slow compiled-matrix-only cases; run with
+#: ``--full``, and marked ``slow`` in the pytest harness.
 LARGE_FLEET_SIZES = (10_000, 50_000)
 
 
@@ -375,12 +375,6 @@ NETPOL_SAMPLE_FLOOR = 60
 #: measures, and the gate tripped on noise; 60 charts amortize them.
 EVALUATION_SAMPLE_FLOOR = 60
 
-#: ``--check`` gates the vectorized/grouped ratio of ``matrix_sources``:
-#: the default bitset engine must never be slower than the per-object walk
-#: it replaced.  The smoke fleet is tiny (microsecond surfaces), so a trip
-#: triggers a min-of-5 remeasure at 240 pods before failing.
-VECTORIZED_RATIO_LIMIT = 1.0
-
 #: ``--check`` gates the no-op delta round: re-verifying an unchanged
 #: catalogue against a warm evaluator must cost at most 5% of the full
 #: from-scratch sweep it replaces -- the whole point of watch mode.  A
@@ -396,19 +390,24 @@ DELTA_NOOP_RATIO_LIMIT = 0.05
 DELTA_SAMPLE_FLOOR = 60
 
 
-#: ``--check`` re-runs ``universe_rebuild`` at this fleet size and holds it
-#: to ``--tolerance`` x the committed case.  Rebuilding the endpoint universe
-#: from scratch after a policy edit (no reusable topology) costs ~10x the
-#: reclassification at 1000 pods, so the band trips on that regression while
-#: a 1000-pod fleet still builds in well under a second.
+#: ``--check`` re-runs ``universe_rebuild`` and ``matrix_sources/compiled``
+#: at this fleet size and holds each to ``--tolerance`` x its committed case.
+#: Rebuilding the endpoint universe from scratch after a policy edit (no
+#: reusable topology) costs ~10x the reclassification at 1000 pods, and a
+#: surface falling back to per-object work ~10x the bitset engine, so the
+#: band trips on either regression while a 1000-pod fleet still builds in
+#: well under a second.
 REBUILD_CHECK_PODS = 1000
 
 
-def universe_rebuild_failure(
-    fresh_ns: float, committed_path: Path, tolerance: float
+def committed_case_failure(
+    key: str, fresh_ns: float, committed_path: Path, tolerance: float
 ) -> str | None:
-    """The ``universe_rebuild`` band against the committed record."""
-    key = f"universe_rebuild/pods={REBUILD_CHECK_PODS}"
+    """The band for one ``cases`` entry against the committed record.
+
+    A key missing from the record fails: a budget with nothing to hold to
+    must not pass.
+    """
     committed_ns = json.loads(committed_path.read_text()).get("cases", {}).get(key)
     if committed_ns is None:
         return f"{key}: missing from the committed record"
@@ -659,24 +658,12 @@ def main(argv: list[str] | None = None) -> int:
             for case, value in results.items()
         },
         "speedups": {
-            **{
-                f"{case}/pods={pod_count}": round(
-                    results[f"{case}/naive"] / results[f"{case}/compiled"], 2
-                )
-                for pod_count, results in per_size.items()
-                for case in ("check_ingress", "reachable_endpoints", "matrix_sources")
-                if f"{case}/naive" in results
-            },
-            **{
-                f"matrix_vectorized/pods={pod_count}": round(
-                    results["matrix_sources/grouped"]
-                    / results["matrix_sources/compiled"],
-                    2,
-                )
-                for pod_count, results in per_size.items()
-                if results.get("matrix_sources/grouped")
-                and results.get("matrix_sources/compiled")
-            },
+            f"{case}/pods={pod_count}": round(
+                results[f"{case}/naive"] / results[f"{case}/compiled"], 2
+            )
+            for pod_count, results in per_size.items()
+            for case in ("check_ingress", "reachable_endpoints", "matrix_sources")
+            if f"{case}/naive" in results
         },
         "render": {case: round(value, 1) for case, value in render.items()},
         "session": session,
@@ -720,41 +707,22 @@ def main(argv: list[str] | None = None) -> int:
             failure = netpol_ratio_failure(retry)
             if failure:
                 failures.append(failure)
-        rebuild_fleet = build_fleet(REBUILD_CHECK_PODS)
-        rebuild_ns = bench_universe_rebuild(rebuild_fleet)["universe_rebuild"]
-        print(f"universe rebuild ({REBUILD_CHECK_PODS} pods): {rebuild_ns / 1e6:.3f} ms")
-        if universe_rebuild_failure(rebuild_ns, committed, args.tolerance):
-            # Milliseconds per build: one slow scheduler slice can triple a
-            # median of five, so remeasure with nine before failing.
-            rebuild_ns = bench_universe_rebuild(rebuild_fleet, repeats=9)["universe_rebuild"]
-            print(f"universe-rebuild remeasure (median of 9): {rebuild_ns / 1e6:.3f} ms")
-            failure = universe_rebuild_failure(rebuild_ns, committed, args.tolerance)
-            if failure:
-                failures.append(failure)
-        smoke_results = per_size[fleet_sizes[0]]
-        vectorized_ratio = (
-            smoke_results["matrix_sources/compiled"]
-            / smoke_results["matrix_sources/grouped"]
-            if smoke_results.get("matrix_sources/grouped")
-            else 1.0
-        )
-        if vectorized_ratio > VECTORIZED_RATIO_LIMIT:
-            # The smoke fleet's surfaces are microseconds: remeasure at 240
-            # pods with median-of-5 before declaring the bitset engine a
-            # regression over the grouped walk.
-            retry = bench_matrix_sources(build_fleet(240), repeats=5)
-            vectorized_ratio = (
-                retry["matrix_sources/compiled"] / retry["matrix_sources/grouped"]
-            )
-            print(
-                f"matrix-vectorized remeasure (240 pods, median of 5): "
-                f"{vectorized_ratio:.4f}x"
-            )
-            if vectorized_ratio > VECTORIZED_RATIO_LIMIT:
-                failures.append(
-                    f"matrix_sources ratio: vectorized is {vectorized_ratio:.4f}x "
-                    f"the grouped walk (limit {VECTORIZED_RATIO_LIMIT:.2f}x)"
-                )
+        check_fleet = build_fleet(REBUILD_CHECK_PODS)
+        for case, bench in (
+            ("universe_rebuild", bench_universe_rebuild),
+            ("matrix_sources/compiled", bench_matrix_compiled),
+        ):
+            key = f"{case}/pods={REBUILD_CHECK_PODS}"
+            fresh_ns = bench(check_fleet, repeats=5)[case]
+            print(f"{key}: {fresh_ns / 1e6:.3f} ms")
+            if committed_case_failure(key, fresh_ns, committed, args.tolerance):
+                # Milliseconds per op: one slow scheduler slice can triple a
+                # median of five, so remeasure with nine before failing.
+                fresh_ns = bench(check_fleet, repeats=9)[case]
+                print(f"{key} remeasure (median of 9): {fresh_ns / 1e6:.3f} ms")
+                failure = committed_case_failure(key, fresh_ns, committed, args.tolerance)
+                if failure:
+                    failures.append(failure)
         noop_ratio = record["delta"].get("delta/noop_ratio", 0.0)
         if noop_ratio > DELTA_NOOP_RATIO_LIMIT:
             # A no-op delta round over a 4-chart smoke sample lasts

@@ -9,6 +9,9 @@ the same cases standalone and records them in ``BENCH_connectivity.json``.
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 from conftest import run_once
 from connectivity_cases import (
@@ -17,9 +20,11 @@ from connectivity_cases import (
     run_large_size,
     run_size,
 )
+from run import committed_case_failure
 
 #: tens / hundreds / a thousand pods, as in the ISSUE acceptance criteria.
 FLEET_SIZES = (30, 240, 1000)
+COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_connectivity.json"
 
 
 def test_connectivity_engine_throughput(benchmark):
@@ -54,33 +59,66 @@ def test_connectivity_engine_throughput(benchmark):
 @pytest.mark.slow
 @pytest.mark.parametrize("pod_count", (10_000, 50_000))
 def test_large_fleet_vectorized_surface(pod_count):
-    """10k/50k-pod fleets: the bitset engine must beat the grouped walk.
+    """10k/50k-pod fleets: the bitset engine within 3x its committed time.
 
-    Slow-marked: a 50k-pod fleet takes seconds per grouped repeat.  The
-    same sizes are recorded in ``BENCH_connectivity.json`` by
-    ``run.py --full``.
+    Slow-marked: a 50k-pod fleet takes seconds to build.  With three
+    repeats the median is a warm one.  The same sizes are recorded in
+    ``BENCH_connectivity.json`` by ``run.py --full``.
     """
-    results = run_large_size(pod_count, repeats=1)
-    assert (
-        results["matrix_sources/compiled"] <= results["matrix_sources/grouped"]
-    ), (
-        f"vectorized lost to grouped at {pod_count} pods: "
-        f"{results['matrix_sources/compiled']:,.0f} vs "
-        f"{results['matrix_sources/grouped']:,.0f} ns/src"
+    results = run_large_size(pod_count, repeats=3)
+    failure = committed_case_failure(
+        f"matrix_sources/compiled/pods={pod_count}",
+        results["matrix_sources/compiled"],
+        COMMITTED,
+        3.0,
     )
+    assert failure is None, failure
 
 
 @pytest.mark.slow
-def test_large_fleet_vectorized_matches_grouped():
-    """Byte-identical surfaces at the 10k-pod size, sampled sources."""
+def test_large_fleet_vectorized_matches_naive():
+    """Surfaces at the 10k-pod size against the naive per-attempt engine.
+
+    A naive surface costs seconds per source at this size, so the attacker
+    and two seeded sources are compared whole, entry for entry; every
+    sampled source is also spot-checked on a seeded sample of destination
+    sockets and service ports.
+    """
     fleet = build_fleet(10_000)
-    compiled = fleet.compiled_network()
-    grouped = compiled.reachability_matrix(
-        fleet.policies, fleet.pods, fleet.bindings, vectorized=False
+    naive = fleet.naive_network()
+    matrix = fleet.compiled_network().reachability_matrix(
+        fleet.policies, fleet.pods, fleet.bindings
     )
-    vector = compiled.reachability_matrix(fleet.policies, fleet.pods, fleet.bindings)
-    for source in fleet.pods[:: len(fleet.pods) // 8] + [fleet.attacker]:
-        assert vector.endpoints_from(source) == grouped.endpoints_from(source)
+    sources = fleet.pods[:-1:1250] + [fleet.attacker]
+    rng = random.Random(10_000)
+    for source in [fleet.attacker] + rng.sample(sources[:-1], 2):
+        assert matrix.endpoints_from(source) == naive.reachable_endpoints(
+            fleet.policies, source, fleet.pods, fleet.bindings
+        )
+    for source in sources:
+        surface = {
+            (e.kind, e.namespace, e.name, e.port, e.protocol)
+            for e in matrix.endpoints_from(source)
+        }
+        for destination in rng.sample(fleet.pods, 50):
+            for socket in destination.sockets:
+                key = ("pod", *destination.ident, socket.port, socket.protocol)
+                expected = (
+                    destination.ident != source.ident
+                    and socket.reachable_from_network
+                    and naive.connect_pod_to_pod(
+                        fleet.policies, source, destination, socket.port, socket.protocol
+                    ).success
+                )
+                assert (key in surface) == expected, (source.ident, key)
+        for binding in rng.sample(fleet.bindings, 20):
+            for port in binding.service.ports:
+                key = ("service", binding.service.namespace, binding.service.name,
+                       port.port, port.protocol)
+                expected = naive.connect_pod_to_service(
+                    fleet.policies, source, binding, port.port, port.protocol
+                ).success
+                assert (key in surface) == expected, (source.ident, key)
 
 
 def test_matrix_matches_naive_surface_on_bench_fleet():

@@ -37,12 +37,9 @@ class ServiceBinding:
             targets: list[int] = []
             raw_target = service_port.resolved_target()
             for backend in self.backends:
-                if isinstance(raw_target, int):
-                    targets.append(raw_target)
-                else:
-                    named = backend.named_ports().get(str(raw_target))
-                    if named is not None:
-                        targets.append(named)
+                target = backend.target_port(raw_target)
+                if target is not None:
+                    targets.append(target)
             resolution[service_port.port] = targets
         return resolution
 

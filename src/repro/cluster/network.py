@@ -15,19 +15,19 @@ isolating sets and named ports once, memoizes whole policy decisions by
 source/destination equivalence class, and answers all-pairs reachability
 without re-scanning the policy list per connection attempt.
 
-Surfaces are computed by the *vectorized* engine by default, in two
-halves.  An :class:`EndpointTopology`, built once per snapshot of pods and
-bindings and kept by :class:`ClusterNetwork`, assigns destination endpoints
-stable integer ids, folds them into policy-free destination groups and
-resolves service backends; it never reads a policy.  An
+Surfaces are computed by a bitset engine in two halves.  An
+:class:`EndpointTopology`, built once per snapshot of pods and bindings and
+kept by :class:`ClusterNetwork`, assigns destination endpoints stable
+integer ids, folds them into policy-free destination groups and resolves
+service backends; it never reads a policy.  An
 :class:`EndpointUniverse`, built once per policy epoch, classifies that
 topology: one isolating lookup per label class, then every group joins a
 policy-decision class whose endpoints are packed into an int bitmask.  A
 source class's reachable surface becomes a handful of memoized decisions
 OR-ed over class masks instead of a per-destination Python walk, and a
-policy edit costs a reclassification, not a rebuild.  The per-object
-grouped walk stays in-tree behind ``vectorized=False`` as the differential
-reference.
+policy edit costs a reclassification, not a rebuild.  The naive matrix
+(``index is None``), which replays the per-attempt path for every
+destination, is the differential reference.
 """
 
 from __future__ import annotations
@@ -168,11 +168,7 @@ def _attempt_service_connection(
     raw_target = service_port.resolved_target()
     last_reason = ""
     for backend in binding.backends:
-        target_port = (
-            raw_target
-            if isinstance(raw_target, int)
-            else backend.named_ports().get(str(raw_target))
-        )
+        target_port = backend.target_port(raw_target)
         if target_port is None:
             last_reason = f"named target port {raw_target!r} is not declared by pod {backend.name!r}"
             continue
@@ -273,9 +269,9 @@ class _ServicePlan:
 
     ``backends`` holds ``(group id, is_loopback, ident)`` for every backend
     whose named target resolves and whose socket exists -- the policy-free
-    half of ``_class_service_success``, done once per topology instead of
-    once per source class.  A universe maps the group id to the backend's
-    decision token.
+    half of ``_attempt_service_connection``'s backend loop, done once per
+    topology instead of once per source class.  A universe maps the group
+    id to the backend's decision token.
     """
 
     __slots__ = ("endpoint", "backends")
@@ -407,11 +403,7 @@ class EndpointTopology:
         protocol = service_port.protocol
         backends = []
         for backend in binding.backends:
-            target_port = (
-                raw_target
-                if isinstance(raw_target, int)
-                else backend.named_ports().get(str(raw_target))
-            )
+            target_port = backend.target_port(raw_target)
             if target_port is None:
                 continue
             socket = backend.socket_on(target_port, protocol)
@@ -461,10 +453,10 @@ class EndpointUniverse:
     are packed from the group bits.  Classes are created in the order of
     their first endpoint id, with that endpoint's pod as representative
     (service-only classes follow in service-plan order), so memo keys and
-    decisions match the per-object walk.  Ids and ``pod_entries`` come from
-    the topology, which follows the grouped reference walk exactly, so a
-    surface materialized from a bitmask is byte-identical, entry for entry
-    and in the same order, to the per-object walk.
+    decisions match the per-attempt path.  Ids and ``pod_entries`` follow
+    pod and socket order, so a surface materialized from a bitmask is
+    byte-identical, entry for entry and in the same order, to the naive
+    per-attempt scan.
     """
 
     __slots__ = (
@@ -574,7 +566,6 @@ class ReachabilityMatrix:
         bindings: list[ServiceBinding],
         include_loopback: bool = False,
         naive_policies: list[NetworkPolicy] | None = None,
-        vectorized: bool = True,
         universe_cache: dict | None = None,
     ) -> None:
         self._network = network
@@ -583,10 +574,6 @@ class ReachabilityMatrix:
         self.pods = list(pods)
         self.bindings = list(bindings)
         self.include_loopback = include_loopback
-        #: ``False`` pins class surfaces to the per-object grouped walk --
-        #: the reference implementation the vectorized engine is proven
-        #: byte-identical against.
-        self.vectorized = vectorized
         #: The compiled endpoint universe, built lazily on the first surface
         #: query (connection-attempt-only users never pay for it), optionally
         #: shared across matrices through ``universe_cache`` (the cluster
@@ -752,13 +739,7 @@ class ReachabilityMatrix:
         class_key = self._source_key(source)
         surface = self._class_surfaces.get(class_key)
         if surface is None:
-            if self.vectorized:
-                surface = self._class_surface_vectorized(source)
-            else:
-                surface = (
-                    self._class_pod_endpoints(source),
-                    self._class_service_endpoints(source),
-                )
+            surface = self._class_surface(source)
             self._class_surfaces[class_key] = surface
         pod_entries, service_entries = surface
         source_key = source.ident
@@ -775,10 +756,15 @@ class ReachabilityMatrix:
         return reachable
 
     def _endpoints_from_uncached(self, source: RunningPod) -> list[ReachableEndpoint]:
-        """The per-attempt reference scan (naive mode keeps this path)."""
+        """The per-attempt reference scan (naive mode keeps this path).
+
+        A pod is excluded from its own surface by ``(namespace, name)``
+        identity, as ``same_pod`` gating and :meth:`endpoints_from` do.
+        """
         reachable: list[ReachableEndpoint] = []
+        source_key = source.ident
         for destination in self.pods:
-            if destination is source:
+            if destination.ident == source_key:
                 continue
             for socket in destination.sockets:
                 if not self.include_loopback and not socket.reachable_from_network:
@@ -834,7 +820,7 @@ class ReachabilityMatrix:
                 seen.add(pod.ident)
         return {source.ident: self.endpoints_from(source) for source in self.pods}
 
-    # Vectorized class surfaces ----------------------------------------------
+    # Class surfaces ----------------------------------------------------------
     def endpoint_universe(self) -> EndpointUniverse:
         """The compiled endpoint universe of this snapshot (built lazily).
 
@@ -861,17 +847,22 @@ class ReachabilityMatrix:
             self._universe = universe
         return universe
 
-    def _class_surface_vectorized(self, source: RunningPod) -> tuple[list, list]:
+    def _class_surface(self, source: RunningPod) -> tuple[list, list]:
         """One source class's whole surface, as bitmask set algebra.
 
         Runs every decision class exactly once -- through the same decision
         memo the per-attempt path uses, so ``connect`` and surfaces share
         results -- then ORs the allowed classes' masks over the source-free
-        allow mask and materializes the surviving bits in id order (the
-        grouped walk's order).  Service plans replay the reference backend
-        loop against the verdict table: same first-network-accept
-        short-circuit, same loopback ``same_pod`` collection, no per-class
+        allow mask and materializes the surviving bits in id order (pod and
+        socket order).  Service plans replay ``_attempt_service_connection``'s
+        backend loop against the verdict table: same first-network-accept
+        short-circuit, with a loopback-bound accepting backend reachable
+        only by itself (``same_pod`` semantics), and no per-class
         re-resolution.
+
+        The pod entries use non-``same_pod`` gating, which is right for every
+        class member except the destination pod itself; that pair is
+        excluded by :meth:`endpoints_from`.
         """
         universe = self.endpoint_universe()
         memo = self._decisions
@@ -916,121 +907,6 @@ class ReachabilityMatrix:
             elif self_only:
                 service_entries.append((frozenset(self_only), plan.endpoint))
         return pod_entries, service_entries
-
-    def _class_pod_endpoints(
-        self, representative: RunningPod
-    ) -> list[tuple[tuple[str, str], ReachableEndpoint]]:
-        """Pod endpoints reachable by every member of one source class.
-
-        Computed with non-``same_pod`` semantics (gating on the socket the
-        connection would actually resolve to, exactly as the per-attempt
-        path does), which is correct for every class member except the
-        destination pod itself -- and that pair is excluded by the caller.
-        """
-        entries: list[tuple[tuple[str, str], ReachableEndpoint]] = []
-        include_loopback = self.include_loopback
-        for destination in self.pods:
-            for socket in destination.sockets:
-                if not include_loopback and not socket.reachable_from_network:
-                    continue
-                resolved = destination.socket_on(socket.port, socket.protocol)
-                if resolved is None or resolved.interface == "127.0.0.1":
-                    continue
-                if self.decision(
-                    representative, destination, socket.port, socket.protocol
-                ).allowed:
-                    entries.append(
-                        (
-                            (destination.namespace, destination.name),
-                            ReachableEndpoint(
-                                kind="pod",
-                                namespace=destination.namespace,
-                                name=destination.name,
-                                port=socket.port,
-                                protocol=socket.protocol,
-                                dynamic=socket.dynamic,
-                                app=destination.app,
-                            ),
-                        )
-                    )
-        return entries
-
-    def _class_service_endpoints(
-        self, representative: RunningPod
-    ) -> list[tuple[frozenset[tuple[str, str]] | None, ReachableEndpoint]]:
-        """Service endpoints reachable by one source class.
-
-        Each entry carries ``None`` when every class member reaches it, or
-        the set of ``(namespace, name)`` keys of the only pods that do --
-        backends whose sole accepting socket is loopback-bound, reachable
-        through the service only by themselves (``same_pod`` semantics).
-        """
-        entries: list[tuple[frozenset[tuple[str, str]] | None, ReachableEndpoint]] = []
-        for binding in self.bindings:
-            service = binding.service
-            for service_port in binding.service.ports:
-                reachable_by_all, self_only = self._class_service_success(
-                    representative, binding, service_port.port, service_port.protocol
-                )
-                if not reachable_by_all and not self_only:
-                    continue
-                entries.append(
-                    (
-                        None if reachable_by_all else frozenset(self_only),
-                        ReachableEndpoint(
-                            kind="service",
-                            namespace=service.namespace,
-                            name=service.name,
-                            port=service_port.port,
-                            protocol=service_port.protocol,
-                            app=service.labels.get("app.kubernetes.io/part-of", ""),
-                        ),
-                    )
-                )
-        return entries
-
-    def _class_service_success(
-        self,
-        representative: RunningPod,
-        binding: ServiceBinding,
-        port: int,
-        protocol: str,
-    ) -> tuple[bool, list[tuple[str, str]]]:
-        """Whether one source class reaches a service port, per member.
-
-        Returns ``(reachable_by_all, self_only_backends)``.  Mirrors
-        ``_attempt_service_connection`` exactly: the service port is looked
-        up by number (the first match wins, as in the per-attempt path),
-        named targets resolve per backend, and a backend accepts when its
-        socket exists, is not loopback-bound, and the policy decision -- a
-        function of the source *class* only -- allows the connection.  A
-        loopback-bound accepting socket counts only for the backend pod
-        itself, which is the single ``same_pod`` case a service hop allows.
-        """
-        service = binding.service
-        service_port = next((p for p in service.ports if p.port == port), None)
-        if service_port is None or not binding.backends:
-            return False, []
-        raw_target = service_port.resolved_target()
-        self_only: list[tuple[str, str]] = []
-        for backend in binding.backends:
-            target_port = (
-                raw_target
-                if isinstance(raw_target, int)
-                else backend.named_ports().get(str(raw_target))
-            )
-            if target_port is None:
-                continue
-            socket = backend.socket_on(target_port, protocol)
-            if socket is None:
-                continue
-            if not self.decision(representative, backend, target_port, protocol).allowed:
-                continue
-            if socket.interface == "127.0.0.1":
-                self_only.append((backend.namespace, backend.name))
-            else:
-                return True, []
-        return False, self_only
 
 
 @dataclass
@@ -1124,11 +1000,7 @@ class ClusterNetwork:
         raw_target = service_port.resolved_target()
         receiving: list[RunningPod] = []
         for backend in binding.backends:
-            target_port = (
-                raw_target
-                if isinstance(raw_target, int)
-                else backend.named_ports().get(str(raw_target))
-            )
+            target_port = backend.target_port(raw_target)
             if target_port is None:
                 continue
             if self.connect_pod_to_pod(policies, source, backend, target_port, protocol).success:
@@ -1142,40 +1014,26 @@ class ClusterNetwork:
         pods: list[RunningPod],
         bindings: list[ServiceBinding],
         include_loopback: bool = False,
-        vectorized: bool = True,
         universe_cache: dict | None = None,
     ) -> ReachabilityMatrix:
         """Compile ``policies`` (if needed) and build a batched matrix.
 
         When the enforcer has the compiled engine disabled and ``policies``
         is a raw list, the matrix is built in naive mode: same API, but every
-        query takes the uncached reference path (the pre-compilation code).
-        ``vectorized=False`` pins class surfaces to the per-object grouped
-        reference walk.
+        query takes the uncached reference path (the pre-compilation code)
+        -- the oracle every surface of the compiled matrix is checked
+        against.
         """
         if isinstance(policies, PolicyIndex):
-            return ReachabilityMatrix(
-                self,
-                policies,
-                pods,
-                bindings,
-                include_loopback,
-                vectorized=vectorized,
-                universe_cache=universe_cache,
-            )
-        if not self.enforcer.use_index:
+            index = policies
+        elif self.enforcer.use_index:
+            index = self.enforcer.index_for(policies)
+        else:
             return ReachabilityMatrix(
                 self, None, pods, bindings, include_loopback, naive_policies=list(policies)
             )
-        index = self.enforcer.index_for(policies)
         return ReachabilityMatrix(
-            self,
-            index,
-            pods,
-            bindings,
-            include_loopback,
-            vectorized=vectorized,
-            universe_cache=universe_cache,
+            self, index, pods, bindings, include_loopback, universe_cache=universe_cache
         )
 
     def reachable_endpoints(

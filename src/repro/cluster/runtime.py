@@ -130,6 +130,16 @@ class RunningPod:
             self._named_ports_cache = named
         return named
 
+    def target_port(self, raw_target: int | str) -> int | None:
+        """The container port a Service ``targetPort`` lands on in this pod.
+
+        A number is taken as is; a name resolves through :meth:`named_ports`
+        and is ``None`` when this pod declares no port of that name.
+        """
+        if isinstance(raw_target, int):
+            return raw_target
+        return self.named_ports().get(str(raw_target))
+
     def socket_on(self, port: int, protocol: str = "TCP") -> Socket | None:
         cache = self._socket_cache
         if cache is None or cache[0] is not self.sockets:

@@ -224,9 +224,7 @@ def _probe_installed(cluster, app, rendered, outcome) -> None:
             target = service_port.resolved_target()
             targets_misconfigured = False
             for backend in binding.backends:
-                resolved = (
-                    target if isinstance(target, int) else backend.named_ports().get(str(target))
-                )
+                resolved = backend.target_port(target)
                 if resolved is None:
                     continue
                 if resolved not in backend.declared_ports("TCP"):

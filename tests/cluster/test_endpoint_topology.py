@@ -6,9 +6,8 @@ backends); ``EndpointUniverse`` is the cheap per-epoch classification over
 it.  Two properties are pinned here:
 
 * **Differential.** Over seeded policy add/remove sequences, the vectorized
-  surfaces computed from a reused topology equal the grouped per-object walk
-  (``vectorized=False``) on every epoch, and the naive per-attempt engine on
-  a sample of epochs.  The fleets carry the awkward cases: named-port and
+  surfaces computed from a reused topology equal the naive per-attempt
+  engine on every epoch.  The fleets carry the awkward cases: named-port and
   port-free policies, hostNetwork pods, loopback and duplicate
   ``(port, protocol)`` sockets, named ``targetPort`` services and
   service-only decision classes.
@@ -52,7 +51,7 @@ from repro.k8s import (
     equality_selector,
 )
 
-from tests.conftest import make_deployment, make_pod, make_service
+from tests.conftest import make_deployment, make_pod, make_service, naive_all_pairs
 
 NAMESPACES = ("default", "prod")
 NAMESPACE_LABELS = {
@@ -163,16 +162,19 @@ def _random_policy(rng: random.Random, serial: int) -> NetworkPolicy:
     )
 
 
-def _networks():
+def _compiled():
+    return ClusterNetwork(enforcer=NetworkPolicyEnforcer(NAMESPACE_LABELS))
+
+
+def _naive(policies, pods, bindings, include_loopback=False):
+    """All-pairs surfaces from the naive per-attempt engine, the reference."""
     naive = ClusterNetwork(enforcer=NetworkPolicyEnforcer(NAMESPACE_LABELS, use_index=False))
-    compiled = ClusterNetwork(enforcer=NetworkPolicyEnforcer(NAMESPACE_LABELS))
-    return naive, compiled
-
-
-def _grouped(network, index, pods, bindings, include_loopback=False):
-    return network.reachability_matrix(
-        index, pods, bindings, include_loopback=include_loopback, vectorized=False
-    ).all_pairs()
+    return {
+        pod.ident: naive.reachable_endpoints(
+            list(policies), pod, pods, bindings, include_loopback=include_loopback
+        )
+        for pod in pods
+    }
 
 
 class _Epochs:
@@ -195,16 +197,16 @@ class _Epochs:
 
 
 # ---------------------------------------------------------------------------
-# Differential: reclassified topology == grouped walk on every epoch
+# Differential: reclassified topology == naive engine on every epoch
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_policy_edit_sequences_match_grouped_walk(seed):
+def test_policy_edit_sequences_match_naive_engine(seed):
     rng = random.Random(1000 + seed)
     pods, bindings = _fleet(seed)
     include_loopback = seed % 2 == 1
-    naive, compiled = _networks()
+    compiled = _compiled()
     epochs = _Epochs(compiled)
     policies = [_random_policy(rng, serial) for serial in range(3)]
     first_entries = None
@@ -213,21 +215,14 @@ def test_policy_edit_sequences_match_grouped_walk(seed):
             policies.remove(rng.choice(policies))
         else:
             policies.append(_random_policy(rng, 100 + step))
-        index, matrix = epochs.matrix(policies, pods, bindings, include_loopback)
+        _, matrix = epochs.matrix(policies, pods, bindings, include_loopback)
         universe = matrix.endpoint_universe()
         if first_entries is None:
             first_entries = universe.pod_entries
         # Policy-only edits never rebuild the topology.
         assert universe.pod_entries is first_entries
         surfaces = matrix.all_pairs()
-        assert surfaces == _grouped(compiled, index, pods, bindings, include_loopback)
-        if step % 4 == 0:
-            assert surfaces == {
-                pod.ident: naive.reachable_endpoints(
-                    list(policies), pod, pods, bindings, include_loopback=include_loopback
-                )
-                for pod in pods
-            }
+        assert surfaces == _naive(policies, pods, bindings, include_loopback)
         # Single-source queries on a fresh matrix (cold decision memo) agree
         # with the all-pairs answer.
         _, fresh = epochs.matrix(policies, pods, bindings, include_loopback)
@@ -257,7 +252,7 @@ def test_fleet_exercises_the_awkward_cases():
             for app in APPS
         ]
     )
-    _, compiled = _networks()
+    compiled = _compiled()
     universe = compiled.reachability_matrix(index, pods, bindings).endpoint_universe()
     service_only = [c for c in universe.decision_classes.values() if not c.mask]
     assert service_only, "no service-only decision class in the fleet"
@@ -271,7 +266,7 @@ def test_fleet_exercises_the_awkward_cases():
 class TestTopologyInvalidation:
     def _setup(self, include_loopback=False):
         pods, bindings = _fleet(7)
-        _, compiled = _networks()
+        compiled = _compiled()
         epochs = _Epochs(compiled)
         policies = [
             deny_all_policy("deny", namespace="default"),
@@ -284,9 +279,7 @@ class TestTopologyInvalidation:
         index, matrix = epochs.matrix(policies, pods, bindings, include_loopback)
         universe = matrix.endpoint_universe()
         assert universe.pod_entries is not before.pod_entries
-        assert matrix.all_pairs() == _grouped(
-            epochs.network, index, pods, bindings, include_loopback
-        )
+        assert matrix.all_pairs() == _naive(index.policies, pods, bindings, include_loopback)
         return universe
 
     def test_policy_only_edit_reuses_topology(self):
@@ -347,9 +340,6 @@ class TestClusterTopologyReuse:
         )
         return cluster
 
-    def _grouped(self, cluster):
-        return cluster.reachability_matrix(vectorized=False).all_pairs()
-
     def test_policy_edit_through_cluster_reuses_topology(self):
         cluster = self._cluster()
         u1 = cluster.reachability_matrix().endpoint_universe()
@@ -360,7 +350,7 @@ class TestClusterTopologyReuse:
         assert cluster.policy_epoch != epoch
         assert u2 is not u1
         assert u1.pod_entries is u2.pod_entries
-        assert matrix.all_pairs() == self._grouped(cluster)
+        assert matrix.all_pairs() == naive_all_pairs(cluster)
         cluster.api.apply(
             allow_ports_policy(
                 "allow-web", equality_selector(app="web"), [8080],
@@ -369,7 +359,7 @@ class TestClusterTopologyReuse:
         )
         matrix = cluster.reachability_matrix()
         assert matrix.endpoint_universe().pod_entries is u1.pod_entries
-        assert matrix.all_pairs() == self._grouped(cluster)
+        assert matrix.all_pairs() == naive_all_pairs(cluster)
 
     def test_restart_through_cluster_rebuilds_topology(self):
         cluster = self._cluster()
@@ -377,7 +367,7 @@ class TestClusterTopologyReuse:
         cluster.restart_application("web")
         matrix = cluster.reachability_matrix()
         assert matrix.endpoint_universe().pod_entries is not u1.pod_entries
-        assert matrix.all_pairs() == self._grouped(cluster)
+        assert matrix.all_pairs() == naive_all_pairs(cluster)
 
     def test_reset_drops_the_topology(self):
         cluster = self._cluster()

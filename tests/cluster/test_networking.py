@@ -11,9 +11,12 @@ from repro.cluster import (
     EndpointController,
     ListenSpec,
     NetworkPolicyEnforcer,
+    Node,
+    RunningPod,
     behavior_with_dynamic_ports,
 )
 from repro.k8s import (
+    ContainerPort,
     NetworkPolicyPeer,
     NetworkPolicyPort,
     NetworkPolicyRule,
@@ -59,6 +62,17 @@ class TestEndpointController:
     def test_resolved_target_ports(self, basic_cluster):
         binding = basic_cluster.binding_for("web")
         assert binding.resolved_target_ports() == {80: [8080, 8080]}
+
+    @pytest.mark.parametrize(
+        ("raw_target", "expected"),
+        [(9090, 9090), ("http", 8080), ("metrics", None)],
+        ids=["int", "named", "unresolved-name"],
+    )
+    def test_backend_target_port(self, raw_target, expected):
+        pod = make_pod("web")
+        pod.spec.containers[0].ports = [ContainerPort(8080, name="http")]
+        backend = RunningPod(pod=pod, ip="10.0.0.5", node=Node(name="node-1"))
+        assert backend.target_port(raw_target) == expected
 
     def test_endpoints_object_generation(self, basic_cluster):
         binding = basic_cluster.binding_for("web")

@@ -7,8 +7,10 @@ import pytest
 from repro.cluster import (
     BehaviorRegistry,
     Cluster,
+    ClusterNetwork,
     ContainerBehavior,
     ListenSpec,
+    NetworkPolicyEnforcer,
 )
 from repro.core import AnalyzerSettings, MisconfigurationAnalyzer
 from repro.datasets import InjectionPlan, build_application
@@ -92,6 +94,32 @@ def make_pod(
             ]
         ),
     )
+
+
+def naive_all_pairs(cluster: Cluster, include_loopback: bool = False) -> dict:
+    """Every pod's surface in ``cluster`` from the naive per-attempt engine.
+
+    The differential reference for the compiled matrix: a fresh network
+    with the compiled index disabled, seeing the cluster's namespace labels.
+    """
+    naive = ClusterNetwork(
+        enforcer=NetworkPolicyEnforcer(
+            {
+                namespace: cluster.enforcer.namespace_labels(namespace)
+                for namespace in cluster.api.store.namespaces()
+            },
+            use_index=False,
+        )
+    )
+    pods = cluster.running_pods()
+    policies = cluster.network_policies()
+    bindings = cluster.service_bindings()
+    return {
+        pod.ident: naive.reachable_endpoints(
+            policies, pod, pods, bindings, include_loopback=include_loopback
+        )
+        for pod in pods
+    }
 
 
 @pytest.fixture

@@ -35,6 +35,7 @@ from repro.helm.structured import PLACEHOLDER_PREFIX, assemble_documents, parse_
 from repro.k8s.errors import ParseError
 from repro.k8s.yamlio import yaml_load_all
 
+from tests.conftest import naive_all_pairs
 from tests.support.diffing import (
     assert_identical,
     canonical_observation,
@@ -174,8 +175,8 @@ def test_reachability_surfaces_identical_from_structured_renders(catalog_apps):
 
 
 @pytest.mark.slow
-def test_vectorized_surfaces_equal_grouped_over_catalogue(catalog_apps):
-    """Bitset-vectorized all-pairs == the grouped reference, byte-identical,
+def test_vectorized_surfaces_equal_naive_over_catalogue(catalog_apps):
+    """Bitset-vectorized all-pairs == the naive reference, byte-identical,
     over the catalogue's policy-bearing charts (both loopback modes)."""
     overrides = {"networkPolicy": {"enabled": True}}
     checked = 0
@@ -185,13 +186,11 @@ def test_vectorized_surfaces_equal_grouped_over_catalogue(catalog_apps):
         cluster = Cluster(name="vec", behaviors=app.behaviors)
         cluster.install(render_chart(app.chart, overrides=overrides, cached=False))
         for include_loopback in (False, True):
-            grouped = cluster.reachability_matrix(
-                include_loopback=include_loopback, vectorized=False
-            ).all_pairs()
             vector = cluster.reachability_matrix(
                 include_loopback=include_loopback
             ).all_pairs()
-            assert vector == grouped, f"{app.dataset}/{app.name}"
+            expected = naive_all_pairs(cluster, include_loopback)
+            assert vector == expected, f"{app.dataset}/{app.name}"
         checked += 1
         if checked >= 60:
             break

@@ -225,13 +225,11 @@ class TestCompiledEngineEquivalence:
         pods, policies, bindings = scenario
         naive, compiled = engines()
         matrix = compiled.reachability_matrix(policies, pods, bindings)
-        grouped = compiled.reachability_matrix(policies, pods, bindings, vectorized=False)
         for source in pods:
             expected = naive.reachable_endpoints(policies, source, pods, bindings)
             assert compiled.reachable_endpoints(policies, source, pods, bindings) == expected
             assert matrix.endpoints_from(source) == expected
-            assert grouped.endpoints_from(source) == expected
-        assert matrix.all_pairs() == grouped.all_pairs() == {
+        assert matrix.all_pairs() == {
             (source.namespace, source.name): naive.reachable_endpoints(
                 policies, source, pods, bindings
             )
@@ -440,7 +438,7 @@ class TestEpochInvalidation:
 
 
 # ---------------------------------------------------------------------------
-# Class-grouped all-pairs: deterministic edge cases
+# Class-surface all-pairs: deterministic edge cases
 # ---------------------------------------------------------------------------
 
 
@@ -456,8 +454,8 @@ def _make_running(name, namespace, labels, sockets, ip):
     return RunningPod(pod=pod, ip=ip, node=Node(name="grp-node"), sockets=sockets)
 
 
-class TestGroupedAllPairs:
-    """The grouped all-pairs path must equal per-source scans exactly.
+class TestClassAllPairs:
+    """The class-surface all-pairs path must equal per-source scans exactly.
 
     The deterministic scenario pins its two exact corrections: self-exclusion
     within an equivalence class, and a loopback-bound backend that is
@@ -495,14 +493,11 @@ class TestGroupedAllPairs:
         bindings = EndpointController().bind([loopback_service, open_service], pods)
         return pods, bindings
 
-    def test_grouped_equals_per_source_with_loopback_service(self):
+    def test_class_surfaces_equal_per_source_with_loopback_service(self):
         pods, bindings = self._scenario()
         naive, compiled = engines()
         for policies in ([], [deny_all_policy("deny", namespace="default")]):
             matrix = compiled.reachability_matrix(policies, pods, bindings)
-            grouped = compiled.reachability_matrix(
-                policies, pods, bindings, vectorized=False
-            )
             expected = {
                 (source.namespace, source.name): naive.reachable_endpoints(
                     policies, source, pods, bindings
@@ -510,7 +505,6 @@ class TestGroupedAllPairs:
                 for source in pods
             }
             assert matrix.all_pairs() == expected
-            assert grouped.all_pairs() == expected
 
     def test_loopback_service_endpoint_is_self_only(self):
         pods, bindings = self._scenario()
@@ -536,18 +530,15 @@ class TestGroupedAllPairs:
 
 
 # ---------------------------------------------------------------------------
-# Bitset-vectorized all-pairs: vectorized == grouped == naive, byte-identical
+# Bitset-vectorized all-pairs: vectorized == naive, byte-identical
 # ---------------------------------------------------------------------------
 
 
-def _assert_triple_identical(policies, pods, bindings, include_loopback=False):
-    """Vectorized, grouped and naive surfaces must be byte-identical."""
+def _assert_matches_naive(policies, pods, bindings, include_loopback=False):
+    """Vectorized and naive surfaces must be byte-identical."""
     naive, compiled = engines()
     vector = compiled.reachability_matrix(
         policies, pods, bindings, include_loopback=include_loopback
-    )
-    grouped = compiled.reachability_matrix(
-        policies, pods, bindings, include_loopback=include_loopback, vectorized=False
     )
     expected = {
         pod.ident: naive.reachable_endpoints(
@@ -556,13 +547,12 @@ def _assert_triple_identical(policies, pods, bindings, include_loopback=False):
         for pod in pods
     }
     assert vector.all_pairs() == expected
-    assert grouped.all_pairs() == expected
     return expected
 
 
 class TestVectorizedAllPairs:
-    """The bitmask engine against its two references, on the exact cases the
-    grouped walk had to special-case: self-exclusion inside an equivalence
+    """The bitmask engine against the naive reference, on the cases a class
+    surface has to special-case: self-exclusion inside an equivalence
     class, loopback backends reachable via a service only from the backend
     itself, named ports re-resolved after a restart, matchExpressions
     selectors, and empty endpoint universes.
@@ -594,7 +584,7 @@ class TestVectorizedAllPairs:
 
     def test_self_exclusion_within_equivalence_class(self):
         pods, bindings = self._replica_scenario()
-        surfaces = _assert_triple_identical([], pods, bindings)
+        surfaces = _assert_matches_naive([], pods, bindings)
         for i in range(3):
             pod_names = {
                 e.name for e in surfaces[("default", f"web-{i}")] if e.kind == "pod"
@@ -605,7 +595,7 @@ class TestVectorizedAllPairs:
     def test_loopback_service_reachable_from_backend_only(self):
         pods, bindings = self._replica_scenario()
         for include_loopback in (False, True):
-            surfaces = _assert_triple_identical(
+            surfaces = _assert_matches_naive(
                 [], pods, bindings, include_loopback=include_loopback
             )
             for key, endpoints in surfaces.items():
@@ -655,7 +645,7 @@ class TestVectorizedAllPairs:
         )
         cluster.api.apply(named_port_policy)
 
-        def triple_check():
+        def naive_check():
             pods = cluster.running_pods()
             policies = cluster.network_policies()
             bindings = cluster.service_bindings()
@@ -675,28 +665,24 @@ class TestVectorizedAllPairs:
                 }
             ))
             vector = compiled.reachability_matrix(policies, pods, bindings)
-            grouped = compiled.reachability_matrix(
-                policies, pods, bindings, vectorized=False
-            )
             expected = {
                 pod.ident: naive.reachable_endpoints(policies, pod, pods, bindings)
                 for pod in pods
             }
             assert vector.all_pairs() == expected
-            assert grouped.all_pairs() == expected
             return expected
 
-        before = triple_check()
+        before = naive_check()
         sockets_before = {
             (p.name, s.port) for p in cluster.running_pods() for s in p.sockets
         }
         cluster.restart_application("web")
-        after = triple_check()
+        after = naive_check()
         sockets_after = {
             (p.name, s.port) for p in cluster.running_pods() for s in p.sockets
         }
         # The restart moved the dynamic sockets, yet the named-port policy
-        # keeps only "http" reachable: the surfaces stay put and all three
+        # keeps only "http" reachable: the surfaces stay put and both
         # paths re-resolved the name against the fresh sockets identically.
         assert sockets_before != sockets_after
         assert before == after
@@ -738,7 +724,7 @@ class TestVectorizedAllPairs:
         ]
         for policies in ([expression_policies[0]], expression_policies[:2],
                          expression_policies):
-            _assert_triple_identical(policies, pods, [])
+            _assert_matches_naive(policies, pods, [])
 
     def test_empty_universe_fleets(self):
         # No pods at all; pods with no sockets; loopback-only sockets hidden
@@ -755,15 +741,15 @@ class TestVectorizedAllPairs:
                 "10.0.0.3",
             )
         ]
-        assert _assert_triple_identical([], [], []) == {}
-        surfaces = _assert_triple_identical([], silent, [])
+        assert _assert_matches_naive([], [], []) == {}
+        surfaces = _assert_matches_naive([], silent, [])
         assert all(endpoints == [] for endpoints in surfaces.values())
-        surfaces = _assert_triple_identical(
+        surfaces = _assert_matches_naive(
             [deny_all_policy("deny", namespace="default")], silent + loopback_only, []
         )
         assert all(endpoints == [] for endpoints in surfaces.values())
         # With loopback included the universe is non-empty again.
-        surfaces = _assert_triple_identical([], loopback_only, [],
+        surfaces = _assert_matches_naive([], loopback_only, [],
                                             include_loopback=True)
         assert surfaces[("default", "shy-0")] == []
 

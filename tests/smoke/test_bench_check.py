@@ -141,18 +141,42 @@ def test_universe_rebuild_gate_trips_on_fabricated_regression(tmp_path):
     key = f"universe_rebuild/pods={bench_run.REBUILD_CHECK_PODS}"
     committed = tmp_path / "BENCH_connectivity.json"
     committed.write_text(f'{{"cases": {{"{key}": 2000000.0}}}}')
-    assert bench_run.universe_rebuild_failure(5_000_000, committed, 3.0) is None
+    assert bench_run.committed_case_failure(key, 5_000_000, committed, 3.0) is None
     # A from-scratch rebuild (no reusable topology) costs ~10x.
-    failure = bench_run.universe_rebuild_failure(20_000_000, committed, 3.0)
+    failure = bench_run.committed_case_failure(key, 20_000_000, committed, 3.0)
     assert failure is not None and "exceeds" in failure
     committed.write_text('{"cases": {}}')
-    assert "missing" in bench_run.universe_rebuild_failure(1.0, committed, 3.0)
+    assert "missing" in bench_run.committed_case_failure(key, 1.0, committed, 3.0)
 
 
-def test_committed_record_carries_the_rebuild_case():
+def test_matrix_sources_budget_trips_on_fabricated_regression(tmp_path):
+    bench_run = _load_run_module()
+    key = f"matrix_sources/compiled/pods={bench_run.REBUILD_CHECK_PODS}"
+    committed = tmp_path / "BENCH_connectivity.json"
+    committed.write_text(f'{{"cases": {{"{key}": 875000.0}}}}')
+    assert bench_run.committed_case_failure(key, 1_490_000, committed, 3.0) is None
+    # Surfaces falling back to per-object work cost ~10x the bitset engine.
+    failure = bench_run.committed_case_failure(key, 9_700_000, committed, 3.0)
+    assert failure is not None and failure.startswith(key) and "exceeds" in failure
+
+
+def test_matrix_sources_budget_fails_on_a_missing_key(tmp_path):
+    bench_run = _load_run_module()
+    key = f"matrix_sources/compiled/pods={bench_run.REBUILD_CHECK_PODS}"
+    committed = tmp_path / "BENCH_connectivity.json"
+    # Only the other gated case is recorded: the budget must not pass.
+    committed.write_text(
+        f'{{"cases": {{"universe_rebuild/pods={bench_run.REBUILD_CHECK_PODS}": 1.0}}}}'
+    )
+    failure = bench_run.committed_case_failure(key, 1.0, committed, 3.0)
+    assert failure == f"{key}: missing from the committed record"
+
+
+def test_committed_record_carries_the_gated_cases():
     bench_run = _load_run_module()
     record = json.loads((REPO_ROOT / "BENCH_connectivity.json").read_text())
-    assert record["cases"][f"universe_rebuild/pods={bench_run.REBUILD_CHECK_PODS}"] > 0
+    for case in ("universe_rebuild", "matrix_sources/compiled"):
+        assert record["cases"][f"{case}/pods={bench_run.REBUILD_CHECK_PODS}"] > 0
 
 
 def _load_cases_module():
@@ -164,15 +188,16 @@ def _load_cases_module():
     return connectivity_cases
 
 
-def test_vectorized_gate_is_wired():
-    # The --check path gates the bitset engine against the grouped walk it
-    # replaced: the limit exists, and the smoke-sized bench results carry
-    # the keys the gate reads (so it can never be vacuously green).
+def test_matrix_sources_budget_is_wired():
+    # The --check path holds the bitset engine to an absolute budget from
+    # the committed record: the bench it re-times yields the key the gate
+    # reads (so it can never be vacuously green), and the smoke-sized
+    # results keep both matrix arms.
     bench_run = _load_run_module()
-    assert bench_run.VECTORIZED_RATIO_LIMIT == 1.0
     cases = _load_cases_module()
+    fleet = cases.build_fleet(bench_run.SMOKE_FLEET_SIZES[0])
+    assert cases.bench_matrix_compiled(fleet, repeats=1)["matrix_sources/compiled"] > 0
     results = cases.run_size(bench_run.SMOKE_FLEET_SIZES[0], repeats=1)
-    assert results["matrix_sources/grouped"] > 0
     assert results["matrix_sources/compiled"] > 0
     assert results["matrix_sources/naive"] > 0
 
