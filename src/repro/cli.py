@@ -13,11 +13,11 @@ Subcommands
     Run the catalogue sweep durably against a content-addressed result
     store: completed charts are loaded instead of recomputed, fresh ones
     persist as they finish, and ``--resume`` continues an interrupted
-    sweep's journal.  ``--since`` runs an *incremental* sweep: the delta
-    evaluator classifies every chart against the store's epoch-tagged
-    journal and reports what moved and why, while recomputing only what
-    must be.  A corrupt or version-skewed store degrades to a recompute
-    with a one-line hint -- never a traceback, always exit 0.
+    sweep's journal.  ``--since`` runs an *incremental* sweep: it
+    recomputes only what the store cannot serve and reports how many
+    charts were unchanged, added or changed against the store's
+    epoch-tagged journal.  A corrupt or version-skewed store degrades to a
+    recompute with a one-line hint -- never a traceback, always exit 0.
 ``watch <dir>``
     Continuously re-verify a directory of Helm charts: each round rescans
     the directory, re-evaluates only the charts whose inputs changed
@@ -109,13 +109,13 @@ def _cmd_figure4b(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments import run_full_evaluation
-    from .store import ResultStore, store_hint
+    from .store import ResultStore, SweepJournal, store_hint
 
     since = getattr(args, "since", "")
     store_dir = since or args.resume or args.store
     store = ResultStore(store_dir) if store_dir else None
     if since:
-        from .experiments import DeltaEvaluator
+        from .experiments import DeltaEvaluator, format_delta_counts
 
         evaluator = DeltaEvaluator(store=store)
         result = evaluator.evaluate(
@@ -123,16 +123,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             workers=args.workers or None,
             resume=True,
         )
-        delta = result.delta_stats or {}
-        counts = delta.get("classified", {})
-        moved = ", ".join(
-            f"{count} {classification}"
-            for classification, count in counts.items()
-            if count
-        )
+        delta = result.delta_stats
         print(
-            f"delta: epoch {delta.get('prior_epoch', 0)} -> {delta.get('epoch', 0)}; "
-            f"{moved or 'no charts'}"
+            f"delta: epoch {delta['prior_epoch']} -> {delta['epoch']}; "
+            f"{format_delta_counts(delta)}"
         )
     else:
         result = run_full_evaluation(
@@ -148,7 +142,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"store: {stats['loaded']} loaded, {stats['computed']} computed, "
             f"{stats['failed']} quarantined ({stats['root']})"
         )
-        hint = store_hint(stats["store"], stats["root"], rotated=stats["journal_rotated"])
+        rotated = stats["journal_rotated"]
+        if since and rotated == SweepJournal.ROTATED_IDENTITY:
+            # A delta round moves content by definition: this rotation is
+            # the normal epoch advance, not degradation.
+            rotated = None
+        hint = store_hint(stats["store"], stats["root"], rotated=rotated)
         if hint:
             print(hint, file=sys.stderr)
     if result.failed:
@@ -241,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--since",
         default="",
-        help="incremental sweep: classify against this store's journal and "
-        "recompute only changed charts",
+        help="incremental sweep: recompute only what this store cannot serve "
+        "and report the delta against its journal",
     )
     sweep.set_defaults(handler=_cmd_sweep)
 

@@ -2,25 +2,27 @@
 
 The paper's premise is *continuous* defense: clusters drift one chart or
 values file at a time, yet a from-scratch sweep re-evaluates all 290
-catalogue charts on every run.  :class:`DeltaEvaluator` closes that gap.
-Given a prior :class:`~repro.experiments.evaluation.EvaluationResult` (or
-the durable :class:`~repro.store.ResultStore` + journal from a previous
-sweep) and the current chart set, it classifies every chart by comparing
-the per-input classifier fingerprints
-(:func:`~repro.experiments.evaluation.classifier_fingerprints`):
+catalogue charts on every run.  :class:`DeltaEvaluator` closes that gap:
+each round reuses what still holds from the prior state and sends every
+other chart to the sweep executor.  The round's ``delta_stats`` record
+what it *did*, one class per chart:
 
-============  =====================================================
-class         meaning
-============  =====================================================
-unchanged     every input fingerprint equal, prior result healthy --
-              the pre-M4* report and inventory are reused as-is
-re-render     the chart content moved (values and/or templates) --
-              render, observe and analyze run again
-re-observe    the registered container behaviours moved while the
-              chart content held -- the runtime snapshot is stale
-re-analyze    the analyzer settings moved -- rule evaluation is stale
-added         no prior record exists for the chart key
-============  =====================================================
+=========  ============================================================
+class      meaning
+=========  ============================================================
+unchanged  reused: the prior pre-M4* report and inventory were served
+added      recomputed: the prior state holds no record of the chart key
+changed    recomputed: a prior record exists but could not be reused
+=========  ============================================================
+
+``reasons`` names what moved for every recomputed chart: the inputs
+(``values``, ``templates``, ``behaviors``, or ``chart`` for a metadata or
+subchart edit) in memory mode, ``result key moved`` or ``store entry
+unusable`` in store mode, and ``prior failure`` or ``no prior record`` in
+both.  Every round satisfies ``classified["unchanged"] == reused``,
+``classified["added"] + classified["changed"] == recomputed`` and
+``reused + recomputed == charts``; a chart quarantined in the round was
+recomputed too.
 
 Charts present in the prior state but absent now are *removed*: their
 entries simply do not appear in the merged result (and the lazy
@@ -47,18 +49,22 @@ catalogue for randomized change sets, serial and pooled, faults included.
 Prior-state sources
 -------------------
 
-*In-memory*: the evaluator chains its own rounds (``_last``), or the
-caller hands any prior ``EvaluationResult``.  This is the watch-mode hot
-path -- no store reads, near-zero cost for a no-op round (the
-``DELTA_NOOP_RATIO_LIMIT`` gate in ``benchmarks/run.py --check`` pins it
-at <= 5% of a full sweep).
+*Memory*: the evaluator chains its own rounds and compares each chart's
+:func:`classifier_fingerprints` with its prior entry's; that comparison
+*is* the reuse decision.  An evaluator only ever chains its own rounds,
+so its analyzer settings cannot move between them.  This is the
+watch-mode hot path -- no store reads, near-zero cost for a no-op round
+(the ``DELTA_NOOP_RATIO_LIMIT`` gate in ``benchmarks/run.py --check`` pins
+it at <= 5% of a full sweep).
 
-*Durable*: with a ``store``, classification reads the epoch-tagged
-journal (:func:`repro.store.read_prior_state` -- last-wins, one live
-record per chart key) and the sweep itself delegates to
-:func:`~repro.experiments.evaluation.run_full_evaluation`'s durable path,
-so content addressing does the reuse and every journal generation is
-totally ordered by epoch.  ``repro sweep --since DIR`` is the CLI spelling.
+*Store*: with a ``store``, the round is one durable sweep
+(:func:`~repro.experiments.evaluation.run_full_evaluation`), so content
+addressing does the reuse and the classification is read back from what
+that sweep observed: a chart is ``unchanged`` iff the store served it,
+and the journal record the sweep found for it when it began tells
+``added`` from ``changed`` and names the reason.  Every journal
+generation is totally ordered by epoch.  ``repro sweep --since DIR`` is
+the CLI spelling.
 
 ``insidejob watch <dir>`` drives :func:`watch_directory`: scan a directory
 of on-disk charts (:meth:`repro.helm.Chart.from_directory`), evaluate the
@@ -67,6 +73,7 @@ delta against the previous round, print one summary line per round.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -81,86 +88,93 @@ from ..core import (
 )
 from ..datasets import BuiltApplication, build_catalog
 from ..helm import Chart
-from ..store import ResultStore, read_prior_state
+from ..helm.values import fingerprint_values
+from ..store import ResultStore
 from .evaluation import (
+    NO_PRIOR_RECORD,
     AnalyzedApplication,
     EvaluationResult,
     _split_outcomes,
     _sweep,
     apply_cluster_wide_pass,
-    classifier_fingerprints,
-    result_key,
     run_full_evaluation,
-    settings_fingerprint,
 )
 
 #: Delta classifications, in reporting order.
 DELTA_UNCHANGED = "unchanged"
 DELTA_ADDED = "added"
-DELTA_RE_RENDER = "re-render"
-DELTA_RE_OBSERVE = "re-observe"
-DELTA_RE_ANALYZE = "re-analyze"
-DELTA_CLASSES = (
-    DELTA_UNCHANGED,
-    DELTA_ADDED,
-    DELTA_RE_RENDER,
-    DELTA_RE_OBSERVE,
-    DELTA_RE_ANALYZE,
-)
+DELTA_CHANGED = "changed"
+DELTA_CLASSES = (DELTA_UNCHANGED, DELTA_ADDED, DELTA_CHANGED)
 
-#: The classifier axes compared between prior and current fingerprints
-#: (``chart`` is the aggregate; these four are the orthogonal inputs).
-_AXES = ("values", "templates", "behaviors", "settings")
+#: The classifier fingerprints compared between rounds, in reason order.
+#: ``chart`` is the aggregate render input; it is named as a reason only
+#: when neither ``values`` nor ``templates`` explains its move.
+_AXES = ("chart", "values", "templates", "behaviors")
 
 
-@dataclass(frozen=True)
-class ChartDelta:
-    """One chart's delta classification, with the inputs that moved."""
+def classifier_fingerprints(app: BuiltApplication) -> dict[str, str]:
+    """The delta classifier's per-input fingerprints for one chart.
 
-    unique_id: str
-    classification: str
-    reasons: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class DeltaPlan:
-    """What a delta round will reuse and what it must recompute.
-
-    ``charts`` is aligned with the application list the plan was built
-    for (catalogue order); ``removed`` names prior charts absent from the
-    current set; ``prior_epoch`` is the journal epoch (durable prior) or
-    the evaluator's completed round count (in-memory prior) the plan was
-    classified against.
+    Each key fingerprints exactly one axis a delta round can move along --
+    ``values`` (the chart's canonical values tree), ``templates`` (the
+    template files by name and source) and ``behaviors`` (the registered
+    container behaviours) -- plus ``chart``, an aggregate over *every*
+    render input (metadata, values, templates, dependencies, packaged
+    subcharts).  The aggregate is composed from the axis digests rather
+    than delegating to :meth:`~repro.helm.Chart.fingerprint`, so a watch
+    round walks each values tree exactly once -- this function runs for
+    every chart on every round and is the hot loop of a no-op delta.  The
+    orthogonality contract (mutating one input flips its own fingerprint
+    and no other) is what lets :class:`DeltaEvaluator` name the reason a
+    chart is recomputed; it is pinned by the fingerprint-sensitivity suite
+    in ``tests/experiments/test_delta_evaluation.py``.
     """
+    chart = app.chart
+    values_fp = fingerprint_values(chart.values)
 
-    charts: tuple[ChartDelta, ...]
-    removed: tuple[str, ...] = ()
-    prior_epoch: int = 0
+    templates_digest = hashlib.blake2b(digest_size=16)
+    for template in chart.templates:
+        templates_digest.update(template.name.encode("utf-8"))
+        templates_digest.update(b"\x00")
+        templates_digest.update(template.source.encode("utf-8"))
+        templates_digest.update(b"\x00")
+    templates_fp = templates_digest.hexdigest()
 
-    def counts(self) -> dict[str, int]:
-        """Chart count per classification (every class present, 0 or not)."""
-        counts = {classification: 0 for classification in DELTA_CLASSES}
-        for delta in self.charts:
-            counts[delta.classification] += 1
-        return counts
+    meta = chart.metadata
+    aggregate = hashlib.blake2b(digest_size=16)
+    for part in (
+        meta.name,
+        meta.version,
+        meta.app_version,
+        meta.description,
+        meta.home,
+        meta.organization,
+        values_fp,
+        templates_fp,
+    ):
+        aggregate.update(part.encode("utf-8"))
+        aggregate.update(b"\x00")
+    for dependency in chart.dependencies:
+        for part in (
+            dependency.name,
+            dependency.version,
+            dependency.repository,
+            dependency.condition,
+            dependency.alias,
+        ):
+            aggregate.update(part.encode("utf-8"))
+            aggregate.update(b"\x00")
+    for name in sorted(chart.subcharts):
+        aggregate.update(name.encode("utf-8"))
+        aggregate.update(chart.subcharts[name].fingerprint().encode("utf-8"))
+        aggregate.update(b"\x00")
 
-    def classification_of(self, unique_id: str) -> str | None:
-        """The classification of one ``dataset/name`` key (None if absent)."""
-        for delta in self.charts:
-            if delta.unique_id == unique_id:
-                return delta.classification
-        return None
-
-
-
-@dataclass
-class _PriorRecord:
-    """One chart's prior state, from either source (memory or journal)."""
-
-    fingerprints: dict | None
-    ok: bool
-    result_key: str = ""
-    entry: AnalyzedApplication | None = None
+    return {
+        "chart": aggregate.hexdigest(),
+        "values": values_fp,
+        "templates": templates_fp,
+        "behaviors": app.behaviors.fingerprint(),
+    }
 
 
 def _strip_cluster_wide(entry: AnalyzedApplication) -> AnalyzedApplication:
@@ -194,17 +208,16 @@ class DeltaEvaluator:
 
     One evaluator holds one :class:`~repro.core.MisconfigurationAnalyzer`
     across rounds, so the render cache and the LRU observation memo stay
-    warm -- an unchanged-but-reclassified chart (say, a no-op touch) costs
-    a cache hit, not a recompute.  ``evaluate`` returns a plain
-    :class:`EvaluationResult` byte-identical to a from-scratch sweep of the
-    same chart set, with ``delta_stats`` carrying the round's accounting.
+    warm -- a chart reverted to earlier content costs a cache hit, not a
+    recompute.  ``evaluate`` returns a plain :class:`EvaluationResult`
+    byte-identical to a from-scratch sweep of the same chart set, with
+    ``delta_stats`` recording what the round did.
 
-    With ``store`` set, the evaluator is *durable*: classification reads
-    the store's epoch-tagged journal and the sweep delegates to
-    ``run_full_evaluation``'s content-addressed path (an explicit in-memory
-    ``prior`` is ignored -- the store is the prior).  Without it, rounds
-    chain in memory (``prior`` argument, or the evaluator's own last
-    result), which is the near-zero-cost watch path.
+    With ``store`` set, the evaluator is *durable*: each round is one
+    content-addressed ``run_full_evaluation`` sweep over the store, and its
+    classification is what that sweep observed.  Without it, rounds chain
+    in memory (the evaluator's own last result), which is the
+    near-zero-cost watch path.
     """
 
     def __init__(
@@ -218,11 +231,10 @@ class DeltaEvaluator:
         self.store = store if isinstance(store, (ResultStore, type(None))) else ResultStore(store)
         if self.store is not None and not base.store_dir:
             # Ship the store to the analyzer's observation memo too; the
-            # settings fingerprint excludes store_dir, so classification
-            # and result keys are unaffected.
+            # settings fingerprint excludes store_dir, so result keys are
+            # unaffected.
             base = replace(base, store_dir=str(self.store.root))
         self.settings = base
-        self.settings_fp = settings_fingerprint(base)
         self.analyzer = MisconfigurationAnalyzer(settings=base)
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
@@ -232,151 +244,45 @@ class DeltaEvaluator:
         #: Classifier fingerprints by application object identity.  A prior
         #: result's entries are the very objects classified in an earlier
         #: round, so their fingerprints never need re-hashing; pruned each
-        #: plan to the objects still alive (prior + current generation).
+        #: round to the objects still alive (prior + current generation).
         self._fp_memo: dict[int, tuple[BuiltApplication, dict]] = {}
 
-    # Classification ----------------------------------------------------------
-    def plan(
-        self,
-        applications: list[BuiltApplication],
-        prior: EvaluationResult | None = None,
-        prior_settings_fp: str | None = None,
-    ) -> DeltaPlan:
-        """Classify ``applications`` against the prior state, computing nothing.
-
-        ``prior`` defaults to the evaluator's own last result (memory mode)
-        or the store's journal (durable mode).  ``prior_settings_fp`` names
-        the settings fingerprint the in-memory prior was computed under
-        when it differs from this evaluator's -- every content-unchanged
-        chart then classifies as re-analyze.
-        """
-        plan, _ = self._plan_with_index(list(applications), prior, prior_settings_fp)
-        return plan
-
-    def _plan_with_index(
-        self,
-        applications: list[BuiltApplication],
-        prior: EvaluationResult | None,
-        prior_settings_fp: str | None,
-    ) -> tuple[DeltaPlan, dict[str, _PriorRecord]]:
-        if prior is None and self.store is None:
-            prior = self._last
-        if isinstance(prior, EvaluationResult):
-            prior_index = self._memory_prior_index(prior, prior_settings_fp)
-            prior_epoch = self.rounds
-        elif self.store is not None:
-            prior_index, prior_epoch = self._store_prior_index()
-        else:
-            prior_index, prior_epoch = {}, 0
-        deltas = []
-        current_ids = set()
-        for app in applications:
-            unique_id = f"{app.dataset}/{app.name}"
-            current_ids.add(unique_id)
-            current = self._memoized_fingerprints(app, self.settings_fp)
-            deltas.append(self._classify(app, current, prior_index.get(unique_id)))
-        removed = tuple(
-            sorted(unique_id for unique_id in prior_index if unique_id not in current_ids)
-        )
-        plan = DeltaPlan(charts=tuple(deltas), removed=removed, prior_epoch=prior_epoch)
-        alive = {id(app) for app in applications}
-        alive.update(
-            id(record.entry.application)
-            for record in prior_index.values()
-            if record.entry is not None
-        )
-        self._fp_memo = {
-            key: value for key, value in self._fp_memo.items() if key in alive
-        }
-        return plan, prior_index
-
-    def _memoized_fingerprints(self, app: BuiltApplication, settings_fp: str) -> dict:
+    def _fingerprints(self, app: BuiltApplication) -> dict:
         """The classifier fingerprints of ``app``, hashed once per object.
 
         Keyed by object identity with the object retained in the value, so
         a recycled ``id`` can never serve another chart's fingerprints.
-        Foreign settings fingerprints bypass the memo -- they only occur on
-        explicit ``prior_settings_fp`` handoffs, never in the hot loop.
         """
-        if settings_fp != self.settings_fp:
-            return classifier_fingerprints(app, settings_fp)
         memoized = self._fp_memo.get(id(app))
         if memoized is not None and memoized[0] is app:
             return memoized[1]
-        fingerprints = classifier_fingerprints(app, settings_fp)
+        fingerprints = classifier_fingerprints(app)
         self._fp_memo[id(app)] = (app, fingerprints)
         return fingerprints
 
-    def _memory_prior_index(
-        self, prior: EvaluationResult, prior_settings_fp: str | None
-    ) -> dict[str, _PriorRecord]:
-        settings_fp = prior_settings_fp or self.settings_fp
-        index: dict[str, _PriorRecord] = {}
-        for entry in prior.analyzed:
-            unique_id = f"{entry.application.dataset}/{entry.application.name}"
-            # No result_key: an in-memory prior always carries classifier
-            # fingerprints, so the legacy result-key fallback never fires.
-            index[unique_id] = _PriorRecord(
-                fingerprints=self._memoized_fingerprints(entry.application, settings_fp),
-                ok=True,
-                entry=entry,
-            )
-        for failure in prior.failed:
-            # A quarantined chart has no reusable artefacts: prior-failure.
-            index.setdefault(failure.unique_id, _PriorRecord(None, False))
-        return index
-
-    def _store_prior_index(self) -> tuple[dict[str, _PriorRecord], int]:
-        state = read_prior_state(self.store.root)
-        index: dict[str, _PriorRecord] = {}
-        for unique_id, record in state.records.items():
-            fingerprints = record.get("fp")
-            index[unique_id] = _PriorRecord(
-                fingerprints=fingerprints if isinstance(fingerprints, dict) else None,
-                ok=record.get("status") == "ok",
-                result_key=str(record.get("result") or ""),
-            )
-        return index, state.epoch
-
     def _classify(
-        self, app: BuiltApplication, current: dict[str, str], prior: _PriorRecord | None
-    ) -> ChartDelta:
+        self, app: BuiltApplication, prior: dict[str, AnalyzedApplication | None]
+    ) -> tuple[str, str, tuple[str, ...]]:
+        """``(unique_id, class, reasons)``: may ``app`` reuse its prior entry?"""
         unique_id = f"{app.dataset}/{app.name}"
-        if prior is None:
-            return ChartDelta(unique_id, DELTA_ADDED, ("no prior record",))
-        fingerprints = prior.fingerprints
-        if fingerprints:
-            moved = tuple(
-                axis for axis in _AXES if fingerprints.get(axis) != current[axis]
-            )
-            if fingerprints.get("chart") != current["chart"]:
-                # The render input moved; name the refined reason when the
-                # orthogonal fingerprints pinpoint it (a metadata or
-                # subchart edit moves only the aggregate).
-                reasons = tuple(
-                    axis for axis in moved if axis in ("values", "templates")
-                ) or ("chart",)
-                return ChartDelta(unique_id, DELTA_RE_RENDER, reasons)
-            if "behaviors" in moved:
-                return ChartDelta(unique_id, DELTA_RE_OBSERVE, ("behaviors",))
-            if "settings" in moved:
-                return ChartDelta(unique_id, DELTA_RE_ANALYZE, ("settings",))
-        if not prior.ok:
-            return ChartDelta(unique_id, DELTA_RE_RENDER, ("prior failure",))
-        if fingerprints:
-            return ChartDelta(unique_id, DELTA_UNCHANGED)
-        # Pre-fingerprint journal record: the result key is the only signal.
-        if prior.result_key and prior.result_key == result_key(app, self.settings_fp):
-            return ChartDelta(unique_id, DELTA_UNCHANGED)
-        return ChartDelta(unique_id, DELTA_RE_RENDER, ("result key moved",))
+        if unique_id not in prior:
+            return unique_id, DELTA_ADDED, (NO_PRIOR_RECORD,)
+        entry = prior[unique_id]
+        if entry is None:
+            return unique_id, DELTA_CHANGED, ("prior failure",)
+        before = self._fingerprints(entry.application)
+        now = self._fingerprints(app)
+        moved = tuple(axis for axis in _AXES if before[axis] != now[axis])
+        if not moved:
+            return unique_id, DELTA_UNCHANGED, ()
+        if "values" in moved or "templates" in moved:
+            moved = moved[1:]  # they explain the aggregate, which leads
+        return unique_id, DELTA_CHANGED, moved
 
-    # Evaluation --------------------------------------------------------------
     def evaluate(
         self,
         applications: list[BuiltApplication] | None = None,
-        prior: EvaluationResult | None = None,
         *,
-        prior_settings_fp: str | None = None,
         workers: int | None = None,
         chart_timeout: float | None = None,
         fault_plan: faults.FaultPlan | None = None,
@@ -401,22 +307,30 @@ class DeltaEvaluator:
                 fault_plan=fault_plan,
                 resume=resume,
             )
-        plan, prior_index = self._plan_with_index(applications, prior, prior_settings_fp)
+        prior: dict[str, AnalyzedApplication | None] = {}
+        if self._last is not None:
+            for entry in self._last.analyzed:
+                prior[f"{entry.application.dataset}/{entry.application.name}"] = entry
+            for failure in self._last.failed:
+                # A quarantined chart has no reusable artefacts.
+                prior.setdefault(failure.unique_id, None)
+        charts = [self._classify(app, prior) for app in applications]
+        current_ids = {unique_id for unique_id, _, _ in charts}
+        removed = sorted(unique_id for unique_id in prior if unique_id not in current_ids)
+        alive = {id(app) for app in applications}
+        alive.update(id(entry.application) for entry in prior.values() if entry is not None)
+        self._fp_memo = {key: value for key, value in self._fp_memo.items() if key in alive}
 
         reusable: dict[int, AnalyzedApplication] = {}
         pending: list[int] = []
-        for index, delta in enumerate(plan.charts):
-            record = prior_index.get(delta.unique_id)
-            if (
-                delta.classification == DELTA_UNCHANGED
-                and record is not None
-                and record.entry is not None
-            ):
-                reusable[index] = record.entry
+        for index, (unique_id, classification, _) in enumerate(charts):
+            if classification == DELTA_UNCHANGED:
+                reusable[index] = prior[unique_id]
             else:
                 pending.append(index)
 
-        if not pending and not plan.removed:
+        result = EvaluationResult()
+        if not pending and not removed:
             # Pure no-op round: the chart set is identical and every input
             # held, so the prior *post*-M4* reports are valid wholesale --
             # the cluster-wide pass is a pure function of the unchanged
@@ -424,66 +338,46 @@ class DeltaEvaluator:
             # later rounds never mutate them, they always strip into fresh
             # reports first.  This is what makes a no-op watch round
             # near-free (the ``DELTA_NOOP_RATIO_LIMIT`` gate).
-            result = EvaluationResult()
-            _split_outcomes(
-                [reusable[index] for index in range(len(applications))], result
-            )
-            result.delta_stats = self._stats(
-                plan,
-                mode="memory",
-                charts=len(applications),
-                reused=len(reusable),
-                recomputed=0,
-                epoch=self.rounds + 1,
-            )
-            self.rounds += 1
-            self._last = result
-            return result
-
-        # The cluster-wide context moved (some chart changed, appeared or
-        # went away): reused entries must drop their prior M4* findings and
-        # the pass re-runs over the merged inventories.
-        reused = {
-            index: _strip_cluster_wide(entry) for index, entry in reusable.items()
-        }
-
-        previous_plan = faults.armed_plan()
-        if fault_plan is not None:
-            faults.arm(fault_plan)
-        shipped_plan = faults.armed_plan()
-        try:
-            outcomes = _sweep(
-                [applications[index] for index in pending],
-                self.analyzer,
-                workers=workers,
-                max_attempts=self.max_attempts,
-                chart_timeout=chart_timeout,
-                retry_backoff=self.retry_backoff,
-                fault_plan=shipped_plan,
-            )
-        finally:
+            _split_outcomes([reusable[index] for index in range(len(applications))], result)
+        else:
+            # The cluster-wide context moved (some chart changed, appeared
+            # or went away): reused entries must drop their prior M4*
+            # findings and the pass re-runs over the merged inventories.
+            reused = {index: _strip_cluster_wide(entry) for index, entry in reusable.items()}
+            previous_plan = faults.armed_plan()
             if fault_plan is not None:
-                faults.arm(previous_plan)
-
-        result = EvaluationResult()
-        fresh = iter(outcomes)
-        merged = [
-            reused[index] if index in reused else next(fresh)
-            for index in range(len(applications))
-        ]
-        _split_outcomes(merged, result)
-        apply_cluster_wide_pass(result)
-        result.delta_stats = self._stats(
-            plan,
-            mode="memory",
-            charts=len(applications),
-            reused=len(reused),
+                faults.arm(fault_plan)
+            shipped_plan = faults.armed_plan()
+            try:
+                outcomes = _sweep(
+                    [applications[index] for index in pending],
+                    self.analyzer,
+                    workers=workers,
+                    max_attempts=self.max_attempts,
+                    chart_timeout=chart_timeout,
+                    retry_backoff=self.retry_backoff,
+                    fault_plan=shipped_plan,
+                )
+            finally:
+                if fault_plan is not None:
+                    faults.arm(previous_plan)
+            fresh = iter(outcomes)
+            merged = [
+                reused[index] if index in reused else next(fresh)
+                for index in range(len(applications))
+            ]
+            _split_outcomes(merged, result)
+            apply_cluster_wide_pass(result)
+        return self._finish(
+            result,
+            "memory",
+            charts,
+            removed,
+            reused=len(reusable),
             recomputed=len(pending),
+            prior_epoch=self.rounds,
             epoch=self.rounds + 1,
         )
-        self.rounds += 1
-        self._last = result
-        return result
 
     def _evaluate_durable(
         self,
@@ -493,11 +387,10 @@ class DeltaEvaluator:
         fault_plan: faults.FaultPlan | None,
         resume: bool,
     ) -> EvaluationResult:
-        # Classify against the journal *before* the sweep rotates it, then
-        # let the content-addressed durable path do the reuse -- it is the
+        # The content-addressed durable path does the reuse -- it is the
         # proven byte-identical machinery, and the store read re-verifies
-        # every entry (so even a lying journal cannot serve stale results).
-        plan, _ = self._plan_with_index(applications, None, None)
+        # every entry -- and reports why it recomputed each chart it did
+        # not serve.
         result = run_full_evaluation(
             applications=applications,
             workers=workers,
@@ -509,49 +402,64 @@ class DeltaEvaluator:
             resume=resume,
             settings=self.settings,
         )
-        store_stats = result.store_stats or {}
-        result.delta_stats = self._stats(
-            plan,
-            mode="store",
-            charts=len(applications),
-            reused=int(store_stats.get("loaded", 0)),
-            recomputed=int(store_stats.get("computed", 0)),
-            epoch=int(store_stats.get("journal_epoch", plan.prior_epoch)),
+        stats = result.store_stats
+        charts = []
+        for app in applications:
+            unique_id = f"{app.dataset}/{app.name}"
+            reason = stats["recomputed"].get(unique_id)
+            if reason is None:
+                charts.append((unique_id, DELTA_UNCHANGED, ()))
+            elif reason == NO_PRIOR_RECORD:
+                charts.append((unique_id, DELTA_ADDED, (reason,)))
+            else:
+                charts.append((unique_id, DELTA_CHANGED, (reason,)))
+        return self._finish(
+            result,
+            "store",
+            charts,
+            stats["removed"],
+            reused=stats["loaded"],
+            recomputed=stats["computed"] + stats["failed"],
+            prior_epoch=stats["prior_epoch"],
+            epoch=stats["journal_epoch"],
         )
-        self.rounds += 1
-        self._last = result
-        return result
 
-    def _stats(
+    def _finish(
         self,
-        plan: DeltaPlan,
+        result: EvaluationResult,
         mode: str,
-        charts: int,
+        charts: list[tuple[str, str, tuple[str, ...]]],
+        removed: list[str],
         reused: int,
         recomputed: int,
+        prior_epoch: int,
         epoch: int,
-    ) -> dict:
-        return {
+    ) -> EvaluationResult:
+        """Attach the round's ``delta_stats``; the result becomes the prior."""
+        counts = {classification: 0 for classification in DELTA_CLASSES}
+        for _, classification, _ in charts:
+            counts[classification] += 1
+        self.rounds += 1
+        result.delta_stats = {
             "mode": mode,
-            "round": self.rounds + 1,
-            "charts": charts,
-            "classified": plan.counts(),
+            "round": self.rounds,
+            "charts": len(charts),
+            "classified": counts,
+            # Every chart sent to the executor, added or changed.
             "changed": [
-                delta.unique_id
-                for delta in plan.charts
-                if delta.classification != DELTA_UNCHANGED
+                unique_id
+                for unique_id, classification, _ in charts
+                if classification != DELTA_UNCHANGED
             ],
-            "reasons": {
-                delta.unique_id: list(delta.reasons)
-                for delta in plan.charts
-                if delta.reasons
-            },
-            "removed": list(plan.removed),
+            "reasons": {unique_id: list(reasons) for unique_id, _, reasons in charts if reasons},
+            "removed": list(removed),
             "reused": reused,
             "recomputed": recomputed,
-            "prior_epoch": plan.prior_epoch,
+            "prior_epoch": prior_epoch,
             "epoch": epoch,
         }
+        self._last = result
+        return result
 
 
 # Watch mode ------------------------------------------------------------------
@@ -596,7 +504,7 @@ def scan_chart_directory(
     otherwise every immediate subdirectory holding a ``Chart.yaml``, a
     ``values.yaml`` or a ``templates/`` directory is one chart.  Rescanned
     every watch round -- charts added to or removed from the directory
-    show up as ``added`` / removed in the next delta plan.
+    show up as ``added`` / removed in the next delta round.
     """
     base = Path(root)
     registry = behaviors if behaviors is not None else BehaviorRegistry()
@@ -624,9 +532,8 @@ def scan_chart_directory(
     ]
 
 
-def format_watch_round(round_number: int, result: EvaluationResult) -> str:
-    """One watch-round summary line: classifications, findings, failures."""
-    stats = result.delta_stats or {}
+def format_delta_counts(stats: dict) -> str:
+    """A round's non-zero class counts in class order, then its removals."""
     counts = stats.get("classified", {})
     parts = [
         f"{counts[classification]} {classification}"
@@ -636,12 +543,17 @@ def format_watch_round(round_number: int, result: EvaluationResult) -> str:
     removed = stats.get("removed") or []
     if removed:
         parts.append(f"{len(removed)} removed")
-    body = ", ".join(parts) if parts else "no charts"
+    return ", ".join(parts) if parts else "no charts"
+
+
+def format_watch_round(round_number: int, result: EvaluationResult) -> str:
+    """One watch-round summary line: classifications, findings, failures."""
+    stats = result.delta_stats or {}
     summary = result.summary
     line = (
         f"round {round_number}: {stats.get('charts', len(result.analyzed))} "
         f"chart{'s' if stats.get('charts', len(result.analyzed)) != 1 else ''} "
-        f"({body}); {summary.total_misconfigurations} findings, "
+        f"({format_delta_counts(stats)}); {summary.total_misconfigurations} findings, "
         f"{summary.affected_applications} affected"
     )
     if result.failed:

@@ -66,7 +66,6 @@ proves it, torn stores and injected corruption included).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
@@ -95,7 +94,6 @@ from ..core import (
 )
 from ..datasets import DATASET_ORDER, BuiltApplication, build_catalog, catalog_fingerprints
 from ..helm import render_chart
-from ..helm.values import fingerprint_values
 from ..k8s import Inventory
 
 #: Use-case grouping used by the Section 4.3.1 statistics.
@@ -112,6 +110,10 @@ USE_CASE_OF_DATASET = {
 #: process died (crash or kill), or the per-chart watchdog fired.
 FAILURE_STAGE_WORKER = "worker"
 FAILURE_STAGE_TIMEOUT = "timeout"
+
+#: Why a chart was recomputed when the prior state holds no record of it
+#: (a delta round classes such a chart ``added``).
+NO_PRIOR_RECORD = "no prior record"
 
 #: Watchdog poll interval and the ceiling on retry backoff sleeps.
 _POLL_S = 0.02
@@ -407,81 +409,6 @@ def result_key(app: BuiltApplication, settings_fp: str) -> str:
     )
 
 
-def classifier_fingerprints(app: BuiltApplication, settings_fp: str) -> dict[str, str]:
-    """The delta classifier's per-input fingerprints for one chart.
-
-    Each key fingerprints exactly one axis a delta sweep can move along --
-    ``values`` (the chart's canonical values tree), ``templates`` (the
-    template files by name and source), ``behaviors`` (the registered
-    container behaviours) and ``settings`` (the analyzer settings) -- plus
-    ``chart``, an aggregate over *every* render input (metadata, values,
-    templates, dependencies, packaged subcharts).  The aggregate is
-    composed from the axis digests rather than delegating to
-    :meth:`~repro.helm.Chart.fingerprint`, so a watch round walks each
-    values tree exactly once -- this function runs for every chart on
-    every round and is the hot loop of a no-op delta.  The orthogonality
-    contract (mutating one input flips its own fingerprint and no other)
-    is what lets :class:`repro.experiments.delta.DeltaEvaluator` name the
-    reason a chart is re-verified; it is pinned by the
-    fingerprint-sensitivity suite in
-    ``tests/experiments/test_delta_evaluation.py``.
-    """
-    chart = app.chart
-    values_fp = fingerprint_values(chart.values)
-
-    templates_digest = hashlib.blake2b(digest_size=16)
-    for template in chart.templates:
-        templates_digest.update(template.name.encode("utf-8"))
-        templates_digest.update(b"\x00")
-        templates_digest.update(template.source.encode("utf-8"))
-        templates_digest.update(b"\x00")
-    templates_fp = templates_digest.hexdigest()
-
-    meta = chart.metadata
-    aggregate = hashlib.blake2b(digest_size=16)
-    for part in (
-        meta.name,
-        meta.version,
-        meta.app_version,
-        meta.description,
-        meta.home,
-        meta.organization,
-        values_fp,
-        templates_fp,
-    ):
-        aggregate.update(part.encode("utf-8"))
-        aggregate.update(b"\x00")
-    for dependency in chart.dependencies:
-        for part in (
-            dependency.name,
-            dependency.version,
-            dependency.repository,
-            dependency.condition,
-            dependency.alias,
-        ):
-            aggregate.update(part.encode("utf-8"))
-            aggregate.update(b"\x00")
-    for name in sorted(chart.subcharts):
-        aggregate.update(name.encode("utf-8"))
-        aggregate.update(chart.subcharts[name].fingerprint().encode("utf-8"))
-        aggregate.update(b"\x00")
-
-    return {
-        "chart": aggregate.hexdigest(),
-        "values": values_fp,
-        "templates": templates_fp,
-        "behaviors": app.behaviors.fingerprint(),
-        "settings": _settings_axis_fp(settings_fp),
-    }
-
-
-@functools.lru_cache(maxsize=16)
-def _settings_axis_fp(settings_fp: str) -> str:
-    """The settings-axis digest, memoized: one settings object serves a
-    whole sweep, so re-hashing it per chart per round is pure waste."""
-    return hashlib.blake2b(settings_fp.encode("utf-8"), digest_size=16).hexdigest()
-
-
 class _DurableSweep:
     """Store + journal bookkeeping threaded through one durable sweep.
 
@@ -492,7 +419,9 @@ class _DurableSweep:
     ``merge()`` reassembles catalogue order.  Persistence is per-chart by
     design -- crash safety comes from never holding completed work only in
     memory -- and always happens *before* the cluster-wide M4* pass, which
-    re-runs over loaded and fresh inventories alike.
+    re-runs over loaded and fresh inventories alike.  ``finish()`` also
+    reports why each chart the store did not serve was recomputed, judged
+    by the journal record :meth:`SweepJournal.begin` found for it.
     """
 
     def __init__(
@@ -506,22 +435,18 @@ class _DurableSweep:
         self.applications = applications
         self.settings_fp = settings_fingerprint(settings)
         self.keys = [result_key(app, self.settings_fp) for app in applications]
-        #: Per-chart classifier fingerprints, attached to every journal
-        #: record so a later delta sweep can classify what moved.
-        self.fingerprints = [
-            classifier_fingerprints(app, self.settings_fp) for app in applications
-        ]
         identity_material = repr((tuple(self.keys), self.settings_fp))
         identity = hashlib.sha256(identity_material.encode("utf-8")).hexdigest()
         self.journal = SweepJournal(store.root, identity)
         self.resume = resume
-        self.loaded = 0
         self.computed = 0
         self.failures = 0
         self.unstored = 0
         self._by_id = {
             f"{app.dataset}/{app.name}": index for index, app in enumerate(applications)
         }
+        #: Chart keys the store served (the rest went to the executor).
+        self.served: set[str] = set()
         self.previously = self.journal.begin(resume)
 
     def load(self) -> dict[int, AnalyzedApplication]:
@@ -543,11 +468,8 @@ class _DurableSweep:
             except KeyError:
                 continue
             found[index] = entry
-            self.loaded += 1
-            self.journal.record(
-                uid, "ok", self.keys[index], entry.attempts,
-                source="store", fingerprints=self.fingerprints[index],
-            )
+            self.served.add(uid)
+            self.journal.record(uid, "ok", self.keys[index], entry.attempts, source="store")
         return found
 
     def note(self, outcome: AnalyzedApplication | AnalysisFailure) -> None:
@@ -573,16 +495,11 @@ class _DurableSweep:
             self.journal.record(
                 uid, "ok", key, outcome.attempts,
                 source="computed" if stored else "computed-unstored",
-                fingerprints=self.fingerprints[index]
-                if index is not None
-                else classifier_fingerprints(app, self.settings_fp),
             )
         elif isinstance(outcome, AnalysisFailure):
             self.failures += 1
-            index = self._by_id.get(outcome.unique_id)
             self.journal.record(
-                outcome.unique_id, "failed", "", outcome.attempts, source="computed",
-                fingerprints=self.fingerprints[index] if index is not None else None,
+                outcome.unique_id, "failed", "", outcome.attempts, source="computed"
             )
 
     def merge(
@@ -602,7 +519,7 @@ class _DurableSweep:
         self.journal.close()
         return {
             "root": str(self.store.root),
-            "loaded": self.loaded,
+            "loaded": len(self.served),
             "computed": self.computed,
             "failed": self.failures,
             "unstored": self.unstored,
@@ -610,8 +527,26 @@ class _DurableSweep:
             "journal_rotated": self.journal.rotated_reason,
             "journal_dropped_lines": self.journal.dropped_lines,
             "journal_epoch": self.journal.epoch,
+            "prior_epoch": self.journal.prior_epoch,
+            "recomputed": {
+                uid: self._recompute_reason(uid)
+                for uid in self._by_id
+                if uid not in self.served
+            },
+            "removed": sorted(set(self.journal.prior) - set(self._by_id)),
             "store": self.store.stats(),
         }
+
+    def _recompute_reason(self, uid: str) -> str:
+        """Why the store did not serve ``uid``, judged by its prior journal record."""
+        record = self.journal.prior.get(uid)
+        if record is None:
+            return NO_PRIOR_RECORD
+        if record.get("status") != "ok":
+            return "prior failure"
+        if record.get("result") == self.keys[self._by_id[uid]]:
+            return "store entry unusable"
+        return "result key moved"
 
 
 #: Per-worker-process analyzer, so the pooled cluster/substrate of its
@@ -974,7 +909,8 @@ def run_full_evaluation(
     workers share the store for their observation memos.  ``resume=True``
     additionally continues the store's sweep journal (a fresh sweep rotates
     it); the analyzed output is byte-identical with or without a store.
-    ``EvaluationResult.store_stats`` carries the accounting either way.
+    ``EvaluationResult.store_stats`` carries the accounting either way,
+    including why each chart the store did not serve was recomputed.
 
     ``settings`` builds the default analyzer from explicit
     :class:`~repro.core.AnalyzerSettings` while keeping every default-path

@@ -36,12 +36,11 @@ settings + schema) plus a monotonically increasing *epoch* -- every fresh
 or rotated sweep advances it, a resume continues it -- and whose per-chart
 records -- each sealed with its own sha256, so a torn tail line is
 dropped, not trusted -- record completion for ``repro sweep --resume``.
-Records optionally carry the per-chart classifier fingerprints (values /
-templates / behaviours / settings), which is what lets the delta
-evaluator (:mod:`repro.experiments.delta`) classify *why* a chart needs
-recomputation, not just that its result key moved.
-:func:`read_prior_state` is the read side: the epoch-tagged prior-state
-lookup over the live (last-wins) journal records, one per chart key.
+:meth:`SweepJournal.begin` parses the existing journal once and keeps its
+live (last-wins) record per chart key and its epoch as the sweep's prior
+state; the durable sweep compares each chart against that record to say
+why it was recomputed, which is how a delta round over a store
+(:mod:`repro.experiments.delta`) reports what it did.
 
 Fault injection: :data:`repro.faults.STORE_READ` fires at the top of every
 lookup (``corrupt`` kinds damage the entry first -- truncation, bit-flip or
@@ -58,7 +57,6 @@ import os
 import pickle
 import tempfile
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -406,6 +404,9 @@ class SweepJournal:
     #: deliberately supersedes any prior journal.  :func:`store_hint`
     #: treats every other reason as degradation worth a hint.
     ROTATED_FRESH = "superseded by a fresh sweep"
+    #: A resume whose sweep identity moved: the catalogue or settings
+    #: changed, so the stale journal is set aside and the epoch advances.
+    ROTATED_IDENTITY = "journal identity mismatch (catalogue or settings changed)"
 
     def __init__(self, root: Path | str, identity: str) -> None:
         self.root = Path(root)
@@ -417,6 +418,10 @@ class SweepJournal:
         #: :meth:`begin`, then the prior header's epoch + 1 for a fresh or
         #: rotated sweep, or the prior epoch unchanged for a valid resume.
         self.epoch = 0
+        #: The journal as :meth:`begin` found it: the live (last-wins)
+        #: record per chart key and the header's epoch (0 if none).
+        self.prior: dict[str, dict[str, Any]] = {}
+        self.prior_epoch = 0
         self._fd: int | None = None
         self._lock = threading.Lock()
 
@@ -432,24 +437,24 @@ class SweepJournal:
         Either way :attr:`epoch` is settled here: it continues the prior
         header's epoch on a valid resume and advances it by one otherwise,
         so every generation of results a store has seen is totally ordered.
+        The parsed journal stays on :attr:`prior` / :attr:`prior_epoch`,
+        rotated or not.
         """
         completed: dict[str, dict[str, Any]] = {}
-        prior_epoch = 0
         if self.path.exists():
-            header, records, dropped = self._parse()
-            self.dropped_lines = dropped
-            prior_epoch = _header_epoch(header)
+            header, self.prior, self.dropped_lines = _parse_journal(self.path)
+            self.prior_epoch = _header_epoch(header)
             if not resume:
                 self._rotate(self.ROTATED_FRESH)
             elif header is None:
                 self._rotate("journal header unreadable")
             elif header.get("identity") != self.identity:
-                self._rotate("journal identity mismatch (catalogue or settings changed)")
+                self._rotate(self.ROTATED_IDENTITY)
             else:
-                completed = records
+                completed = self.prior
         self._fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         if os.fstat(self._fd).st_size == 0:
-            self.epoch = prior_epoch + 1
+            self.epoch = self.prior_epoch + 1
             self._append(
                 {
                     "type": "header",
@@ -459,7 +464,7 @@ class SweepJournal:
                 }
             )
         else:
-            self.epoch = prior_epoch or 1
+            self.epoch = self.prior_epoch or 1
         return completed
 
     def record(
@@ -469,27 +474,18 @@ class SweepJournal:
         result_key: str = "",
         attempts: int = 1,
         source: str = "computed",
-        fingerprints: dict[str, str] | None = None,
     ) -> None:
-        """Append one sealed per-chart completion record and fsync it.
-
-        ``fingerprints`` (optional) attaches the chart's delta-classifier
-        fingerprints -- values / templates / behaviours / settings, see
-        :func:`repro.experiments.evaluation.classifier_fingerprints` -- so a
-        later delta sweep can explain *which* input moved, not just that
-        the content-addressed result key did.
-        """
-        record: dict[str, Any] = {
-            "type": "chart",
-            "chart": chart,
-            "status": status,
-            "result": result_key,
-            "attempts": attempts,
-            "source": source,
-        }
-        if fingerprints:
-            record["fp"] = dict(fingerprints)
-        self._append(record)
+        """Append one sealed per-chart completion record and fsync it."""
+        self._append(
+            {
+                "type": "chart",
+                "chart": chart,
+                "status": status,
+                "result": result_key,
+                "attempts": attempts,
+                "source": source,
+            }
+        )
 
     def close(self) -> None:
         """Release the journal descriptor (records already durable)."""
@@ -519,17 +515,14 @@ class SweepJournal:
         except OSError:
             pass
 
-    def _parse(self) -> tuple[dict[str, Any] | None, dict[str, dict[str, Any]], int]:
-        return _parse_journal(self.path)
-
 
 def _parse_journal(path: Path) -> tuple[dict[str, Any] | None, dict[str, dict[str, Any]], int]:
     """Parse one journal file into (header, live chart records, dropped lines).
 
     Chart records are *last-wins* by chart key: a chart recorded several
     times across resumed sweeps keeps exactly one live record -- the
-    superseded-entry semantics every reader (resume, delta, prior-state
-    lookup) shares.
+    superseded-entry semantics both readers (resume, and the durable
+    sweep's recompute reasons) share.
     """
     header: dict[str, Any] | None = None
     records: dict[str, dict[str, Any]] = {}
@@ -558,52 +551,6 @@ def _header_epoch(header: dict[str, Any] | None) -> int:
         return max(int(header.get("epoch", 0)), 0)
     except (TypeError, ValueError):
         return 0
-
-
-@dataclass(frozen=True)
-class PriorState:
-    """The epoch-tagged prior state a store's journal records.
-
-    ``records`` holds the *live* (last-wins) chart record per chart key --
-    journal rotation and resumed sweeps keep exactly one record per chart.
-    ``epoch`` is the journal generation those records were written under
-    (0 when no journal exists), ``identity`` the sweep identity digest the
-    header pinned, so a delta consumer can tell "same catalogue, resumable"
-    from "prior state of a different sweep shape".
-    """
-
-    epoch: int
-    identity: str | None
-    records: dict[str, dict[str, Any]]
-    dropped_lines: int = 0
-
-    def completed(self) -> dict[str, dict[str, Any]]:
-        """The live records of charts that finished successfully."""
-        return {
-            chart: record
-            for chart, record in self.records.items()
-            if record.get("status") == "ok"
-        }
-
-
-def read_prior_state(root: Path | str) -> PriorState:
-    """Read a store directory's journal as delta-consumable prior state.
-
-    This is the read-only side of :class:`SweepJournal`: it never opens the
-    journal for append, never rotates, and tolerates a missing or torn
-    journal (sealed records keep their last-wins semantics; torn lines are
-    counted in ``dropped_lines``).  The delta evaluator uses it to classify
-    charts against what the store last recorded before deciding what to
-    recompute.
-    """
-    header, records, dropped = _parse_journal(Path(root) / SweepJournal.FILENAME)
-    identity = header.get("identity") if isinstance(header, dict) else None
-    return PriorState(
-        epoch=_header_epoch(header),
-        identity=identity if isinstance(identity, str) else None,
-        records=records,
-        dropped_lines=dropped,
-    )
 
 
 def store_hint(stats: dict[str, int], root: Path | str, rotated: str | None = None) -> str | None:

@@ -7,17 +7,23 @@ reduces to canonical-serialization identity via
 :func:`tests.support.diffing.canonical_evaluation`:
 
 * every change class -- values tweaks, template edits, behaviour-seed
-  changes, chart additions, chart removals, no-op touches, settings
-  changes -- in serial and pooled sweeps,
+  changes, chart additions, chart removals, no-op touches -- in serial and
+  pooled sweeps, plus a settings change over a durable store,
 * Hypothesis-driven multi-round change sequences (each round delta'd
   against the previous, each compared to scratch),
 * chaos interaction: a fault mid-delta quarantines the failing chart
   without serving its stale prior entry, healthy charts stay
   byte-identical, and the recovery round equals a clean scratch sweep,
-* the durable path: classification from the store's epoch-tagged journal
-  (fingerprint records and the pre-fingerprint result-key fallback alike),
+* the durable path: classification read back from what the durable sweep
+  observed (store served or not, against the journal's prior record),
+  corrupt entries and quarantined charts included,
 * the ``slow``-marked full-catalogue differential over randomized change
   sets (acceptance criterion for this PR).
+
+Every round's ``delta_stats`` must also keep the accounting identities
+(:func:`assert_accounting`): the classification is the record of what the
+round did, so ``unchanged`` is what it reused and ``added`` + ``changed``
+is what it sent to the executor.
 
 Satellites pinned here too: the ``EvaluationResult`` lazy-index staleness
 fix (same-length mutate then re-query), ``SweepJournal`` superseded-entry
@@ -42,23 +48,16 @@ from repro.core import AnalyzerSettings
 from repro.datasets import InjectionPlan, build_application, build_catalog
 from repro.experiments import (
     DELTA_ADDED,
-    DELTA_RE_ANALYZE,
-    DELTA_RE_OBSERVE,
-    DELTA_RE_RENDER,
+    DELTA_CHANGED,
     DELTA_UNCHANGED,
     DeltaEvaluator,
     classifier_fingerprints,
+    result_key,
     run_full_evaluation,
     settings_fingerprint,
 )
 from repro.helm.chart import ChartTemplate
-from repro.store import (
-    ResultStore,
-    SweepJournal,
-    _seal_record,
-    _unseal_line,
-    read_prior_state,
-)
+from repro.store import ResultStore, SweepJournal, _corrupt_entry_file, _parse_journal
 from tests.support.diffing import assert_identical, canonical_evaluation
 
 SAMPLE = 8
@@ -72,6 +71,18 @@ def applications():
 
 def uid(app) -> str:
     return f"{app.dataset}/{app.name}"
+
+
+def assert_accounting(stats) -> None:
+    """The three identities every delta round's ``delta_stats`` must keep."""
+    classified = stats["classified"]
+    assert classified[DELTA_UNCHANGED] == stats["reused"]
+    assert classified[DELTA_ADDED] + classified[DELTA_CHANGED] == stats["recomputed"]
+    assert stats["reused"] + stats["recomputed"] == stats["charts"]
+
+
+def classified(unchanged=0, added=0, changed=0) -> dict[str, int]:
+    return {DELTA_UNCHANGED: unchanged, DELTA_ADDED: added, DELTA_CHANGED: changed}
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +222,20 @@ class TestDeltaDifferential:
         evaluator.evaluate(remove_chart(applications, 2))
         assert_identical(before, canonical_evaluation(first), "prior result mutated")
 
-    def test_settings_change_reclassifies_and_matches_scratch(self, applications):
-        prior_settings = AnalyzerSettings()
-        baseline = DeltaEvaluator(settings=prior_settings, retry_backoff=BACKOFF)
-        prior = baseline.evaluate(applications)
+    def test_settings_change_over_a_store_recomputes_and_matches_scratch(
+        self, applications, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        run_full_evaluation(applications=applications, store=ResultStore(store_dir))
 
-        changed = AnalyzerSettings(seed=2026)
-        evaluator = DeltaEvaluator(settings=changed, retry_backoff=BACKOFF)
-        plan = evaluator.plan(
-            applications,
-            prior=prior,
-            prior_settings_fp=settings_fingerprint(prior_settings),
-        )
-        assert plan.counts()[DELTA_RE_ANALYZE] == SAMPLE
-        result = evaluator.evaluate(
-            applications,
-            prior=prior,
-            prior_settings_fp=settings_fingerprint(prior_settings),
-        )
+        changed = AnalyzerSettings(double_snapshot=False)
+        evaluator = DeltaEvaluator(settings=changed, store=store_dir, retry_backoff=BACKOFF)
+        result = evaluator.evaluate(applications)
+        stats = result.delta_stats
+        assert stats["classified"] == classified(changed=SAMPLE)
+        assert stats["changed"] == [uid(app) for app in applications]
+        assert stats["reasons"] == {uid(app): ["result key moved"] for app in applications}
+        assert_accounting(stats)
         scratch = run_full_evaluation(applications=applications, settings=changed)
         assert_identical(
             canonical_evaluation(scratch),
@@ -243,33 +250,52 @@ class TestClassification:
         evaluator.evaluate(applications)
         return evaluator
 
-    def test_values_tweak_is_re_render_with_reason(self, applications):
+    def test_values_tweak_is_changed_with_reason(self, applications):
         evaluator = self.evaluator_with_prior(applications)
         mutated = values_tweak(applications, 2)
-        plan = evaluator.plan(mutated)
-        delta = plan.charts[2]
-        assert delta.classification == DELTA_RE_RENDER
-        assert delta.reasons == ("values",)
-        assert plan.counts()[DELTA_UNCHANGED] == SAMPLE - 1
+        stats = evaluator.evaluate(mutated).delta_stats
+        assert stats["changed"] == [uid(mutated[2])]
+        assert stats["reasons"] == {uid(mutated[2]): ["values"]}
+        assert stats["classified"] == classified(unchanged=SAMPLE - 1, changed=1)
+        assert_accounting(stats)
 
-    def test_template_edit_is_re_render_with_reason(self, applications):
+    def test_template_edit_is_changed_with_reason(self, applications):
         evaluator = self.evaluator_with_prior(applications)
-        plan = evaluator.plan(template_edit(applications, 4))
-        assert plan.charts[4].classification == DELTA_RE_RENDER
-        assert plan.charts[4].reasons == ("templates",)
+        mutated = template_edit(applications, 4)
+        stats = evaluator.evaluate(mutated).delta_stats
+        assert stats["changed"] == [uid(mutated[4])]
+        assert stats["reasons"] == {uid(mutated[4]): ["templates"]}
+        assert stats["classified"] == classified(unchanged=SAMPLE - 1, changed=1)
 
-    def test_behavior_change_is_re_observe(self, applications):
+    def test_behavior_change_is_changed_with_reason(self, applications):
         evaluator = self.evaluator_with_prior(applications)
-        plan = evaluator.plan(behavior_change(applications, 5))
-        assert plan.charts[5].classification == DELTA_RE_OBSERVE
-        assert plan.charts[5].reasons == ("behaviors",)
+        mutated = behavior_change(applications, 5)
+        stats = evaluator.evaluate(mutated).delta_stats
+        assert stats["changed"] == [uid(mutated[5])]
+        assert stats["reasons"] == {uid(mutated[5]): ["behaviors"]}
+        assert stats["classified"] == classified(unchanged=SAMPLE - 1, changed=1)
+
+    def test_metadata_edit_names_the_chart_aggregate(self, applications):
+        evaluator = self.evaluator_with_prior(applications)
+        app = applications[6]
+        metadata = dataclasses.replace(app.chart.metadata, version="9.9.9-delta")
+        mutated = list(applications)
+        mutated[6] = dataclasses.replace(
+            app, chart=dataclasses.replace(app.chart, metadata=metadata)
+        )
+        stats = evaluator.evaluate(mutated).delta_stats
+        assert stats["reasons"] == {uid(app): ["chart"]}
+        assert stats["classified"] == classified(unchanged=SAMPLE - 1, changed=1)
 
     def test_added_and_removed_charts_are_named(self, applications):
         evaluator = self.evaluator_with_prior(applications)
         mutated = remove_chart(add_chart(applications, 0), 1)
-        plan = evaluator.plan(mutated)
-        assert plan.classification_of("Bitnami/delta-added-0") == DELTA_ADDED
-        assert plan.removed == (uid(applications[1]),)
+        stats = evaluator.evaluate(mutated).delta_stats
+        assert stats["changed"] == ["Bitnami/delta-added-0"]
+        assert stats["reasons"] == {"Bitnami/delta-added-0": ["no prior record"]}
+        assert stats["classified"] == classified(unchanged=SAMPLE - 1, added=1)
+        assert stats["removed"] == [uid(applications[1])]
+        assert_accounting(stats)
 
     def test_prior_failure_is_never_unchanged(self, applications):
         evaluator = DeltaEvaluator(retry_backoff=BACKOFF)
@@ -278,10 +304,11 @@ class TestClassification:
         )
         first = evaluator.evaluate(applications, fault_plan=poison)
         assert [failure.unique_id for failure in first.failed] == [uid(applications[0])]
-        plan = evaluator.plan(applications)
-        assert plan.charts[0].classification == DELTA_RE_RENDER
-        assert plan.charts[0].reasons == ("prior failure",)
-        assert plan.counts()[DELTA_UNCHANGED] == SAMPLE - 1
+        stats = evaluator.evaluate(applications).delta_stats
+        assert stats["changed"] == [uid(applications[0])]
+        assert stats["reasons"] == {uid(applications[0]): ["prior failure"]}
+        assert stats["classified"] == classified(unchanged=SAMPLE - 1, changed=1)
+        assert_accounting(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +329,9 @@ class TestDeltaChaos:
         # The changed chart failed: it must appear quarantined, and its
         # stale prior report must not be served in its place.
         assert [failure.unique_id for failure in result.failed] == [victim]
+        # It was still sent to the executor: recomputed, not reused.
+        assert result.delta_stats["recomputed"] == 1
+        assert_accounting(result.delta_stats)
         assert result.report_for(mutated[3].dataset, mutated[3].name) is None
         # Healthy charts are byte-identical to a scratch sweep under the
         # same fault plan (same analyzed set, same M4* pass).
@@ -378,6 +408,7 @@ class TestChangeSequences:
                 current = CHANGE_CLASSES[op](current, index)
             result = evaluator.evaluate(current)
             assert not result.failed
+            assert_accounting(result.delta_stats)
             scratch = run_full_evaluation(applications=current)
             assert_identical(
                 canonical_evaluation(scratch),
@@ -387,7 +418,7 @@ class TestChangeSequences:
 
 
 # ---------------------------------------------------------------------------
-# Durable prior state: classification from the store's epoch-tagged journal.
+# Durable rounds: classification read back from what the durable sweep did.
 # ---------------------------------------------------------------------------
 
 
@@ -398,15 +429,15 @@ class TestDurableDelta:
 
         evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
         mutated = values_tweak(applications, 3)
-        plan = evaluator.plan(mutated)
-        assert plan.charts[3].classification == DELTA_RE_RENDER
-        assert plan.counts()[DELTA_UNCHANGED] == SAMPLE - 1
-
         result = evaluator.evaluate(mutated)
         stats = result.delta_stats
         assert stats["mode"] == "store"
+        assert stats["classified"] == classified(unchanged=SAMPLE - 1, changed=1)
+        assert stats["changed"] == [uid(mutated[3])]
+        assert stats["reasons"] == {uid(mutated[3]): ["result key moved"]}
         assert stats["reused"] == SAMPLE - 1
         assert stats["recomputed"] == 1
+        assert_accounting(stats)
         assert stats["epoch"] == stats["prior_epoch"] + 1
         scratch = run_full_evaluation(applications=mutated)
         assert_identical(
@@ -422,6 +453,8 @@ class TestDurableDelta:
         mutated = template_edit(applications, 1)
         result = evaluator.evaluate(mutated, workers=2)
         assert not result.failed
+        assert result.delta_stats["classified"] == classified(unchanged=SAMPLE - 1, changed=1)
+        assert_accounting(result.delta_stats)
         scratch = run_full_evaluation(applications=mutated)
         assert_identical(
             canonical_evaluation(scratch),
@@ -429,33 +462,83 @@ class TestDurableDelta:
             "pooled store delta vs scratch",
         )
 
-    def test_pre_fingerprint_journal_falls_back_to_result_keys(
-        self, applications, tmp_path
-    ):
+    def test_store_delta_names_added_and_removed_charts(self, applications, tmp_path):
         store_dir = tmp_path / "store"
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
-        # Strip the fingerprint payloads, simulating a journal written
-        # before records carried them; reseal so the records stay valid.
-        journal = store_dir / SweepJournal.FILENAME
-        lines = []
-        for line in journal.read_text().splitlines():
-            record = _unseal_line(line)
-            assert record is not None
-            record.pop("fp", None)
-            lines.append(_seal_record(record))
-        journal.write_text("".join(lines))
-
         evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
-        plan = evaluator.plan(values_tweak(applications, 2))
-        assert plan.charts[2].classification == DELTA_RE_RENDER
-        assert plan.charts[2].reasons == ("result key moved",)
-        assert plan.counts()[DELTA_UNCHANGED] == SAMPLE - 1
+        mutated = remove_chart(add_chart(applications, 0), 1)
+        stats = evaluator.evaluate(mutated).delta_stats
+        assert stats["classified"] == classified(unchanged=SAMPLE - 1, added=1)
+        assert stats["reasons"] == {"Bitnami/delta-added-0": ["no prior record"]}
+        assert stats["removed"] == [uid(applications[1])]
+        assert_accounting(stats)
+
+    @pytest.mark.parametrize("mode", faults.CORRUPTION_MODES)
+    def test_corrupt_entry_is_changed_and_matches_scratch(self, applications, tmp_path, mode):
+        store_dir = tmp_path / "store"
+        store = ResultStore(store_dir)
+        run_full_evaluation(applications=applications, store=store)
+        victim = applications[2]
+        key = result_key(victim, settings_fingerprint(AnalyzerSettings()))
+        _corrupt_entry_file(store.entry_path(key), mode)
+
+        # A --since round: resume against the store's journal.
+        evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
+        result = evaluator.evaluate(applications, resume=True)
+        stats = result.delta_stats
+        assert stats["classified"] == classified(unchanged=SAMPLE - 1, changed=1)
+        assert stats["changed"] == [uid(victim)]
+        assert stats["reasons"] == {uid(victim): ["store entry unusable"]}
+        assert stats["reused"] == SAMPLE - 1
+        assert stats["recomputed"] == 1
+        assert_accounting(stats)
+        scratch = run_full_evaluation(applications=applications)
+        assert_identical(
+            canonical_evaluation(scratch),
+            canonical_evaluation(result),
+            f"corrupt-entry ({mode}) store delta vs scratch",
+        )
+
+    def test_quarantined_chart_counts_as_recomputed(self, applications, tmp_path):
+        store_dir = tmp_path / "store"
+        run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
+        mutated = values_tweak(applications, 3)
+        victim = uid(mutated[3])
+        plan = faults.FaultPlan(
+            faults.FaultSpec(site=faults.OBSERVE, charts=(victim,), attempts=10)
+        )
+        result = evaluator.evaluate(mutated, fault_plan=plan)
+        assert [failure.unique_id for failure in result.failed] == [victim]
+        stats = result.delta_stats
+        assert stats["classified"] == classified(unchanged=SAMPLE - 1, changed=1)
+        assert stats["recomputed"] == 1
+        assert_accounting(stats)
+        scratch = run_full_evaluation(
+            applications=mutated, fault_plan=plan, retry_backoff=BACKOFF
+        )
+        assert_identical(
+            canonical_evaluation(scratch),
+            canonical_evaluation(result),
+            "quarantined store delta vs faulted scratch",
+        )
+
+        # The next round recomputes the prior failure, in store mode too.
+        recovered = evaluator.evaluate(mutated).delta_stats
+        assert recovered["reasons"] == {victim: ["prior failure"]}
+        assert_accounting(recovered)
 
 
 # ---------------------------------------------------------------------------
 # Satellite: SweepJournal superseded-entry semantics under repeated
 # resume+delta cycles.
 # ---------------------------------------------------------------------------
+
+
+def read_journal(store_dir):
+    """(header, live chart records) of a store's sweep journal."""
+    header, records, _ = _parse_journal(store_dir / SweepJournal.FILENAME)
+    return header, records
 
 
 class TestJournalSupersededEntries:
@@ -472,15 +555,17 @@ class TestJournalSupersededEntries:
             current = values_tweak(current, cycle, salt=f"cycle-{cycle}")
             result = evaluator.evaluate(current, resume=True)
             assert not result.failed
-            state = read_prior_state(store_dir)
+            assert_accounting(result.delta_stats)
+            header, records = read_journal(store_dir)
             # Exactly one live record per chart key, every one healthy --
             # earlier generations were superseded, not accumulated.
-            assert len(state.records) == len(current)
-            assert set(state.records) == {uid(app) for app in current}
-            assert set(state.completed()) == set(state.records)
+            assert len(records) == len(current)
+            assert set(records) == {uid(app) for app in current}
+            assert all(record["status"] == "ok" for record in records.values())
+            assert all("fp" not in record for record in records.values())
             # The identity moved with the chart content, so each cycle
             # rotates the journal and advances the epoch.
-            assert state.epoch == 1 + cycle
+            assert header["epoch"] == 1 + cycle
         assert (store_dir / (SweepJournal.FILENAME + ".prev")).exists()
 
     def test_pure_resume_continues_the_epoch(self, applications, tmp_path):
@@ -494,22 +579,22 @@ class TestJournalSupersededEntries:
             resume=True,
         )
         assert resumed.store_stats["journal_epoch"] == 1
-        assert read_prior_state(store_dir).epoch == 1
+        assert read_journal(store_dir)[0]["epoch"] == 1
 
     def test_superseded_records_reflect_the_latest_content(
         self, applications, tmp_path
     ):
         store_dir = tmp_path / "store"
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
-        before = read_prior_state(store_dir)
+        _, before = read_journal(store_dir)
         evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
         mutated = values_tweak(applications, 0)
         evaluator.evaluate(mutated)
-        after = read_prior_state(store_dir)
+        _, after = read_journal(store_dir)
         changed = uid(applications[0])
-        assert after.records[changed]["fp"]["values"] != before.records[changed]["fp"]["values"]
+        assert after[changed]["result"] != before[changed]["result"]
         unchanged = uid(applications[1])
-        assert after.records[unchanged]["fp"] == before.records[unchanged]["fp"]
+        assert after[unchanged]["result"] == before[unchanged]["result"]
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +639,10 @@ class TestResultIndexStaleness:
 # exactly its own fingerprint and no others.
 # ---------------------------------------------------------------------------
 
-BASE_SETTINGS_FP = settings_fingerprint(AnalyzerSettings())
-
 FINGERPRINT_MUTATIONS = {
-    "values": lambda app: (values_tweak([app], 0)[0], BASE_SETTINGS_FP),
-    "templates": lambda app: (template_edit([app], 0)[0], BASE_SETTINGS_FP),
-    "behaviors": lambda app: (behavior_change([app], 0)[0], BASE_SETTINGS_FP),
-    "settings": lambda app: (app, settings_fingerprint(AnalyzerSettings(seed=2026))),
+    "values": lambda app: values_tweak([app], 0)[0],
+    "templates": lambda app: template_edit([app], 0)[0],
+    "behaviors": lambda app: behavior_change([app], 0)[0],
 }
 
 
@@ -568,10 +650,9 @@ class TestFingerprintSensitivity:
     @pytest.mark.parametrize("axis", sorted(FINGERPRINT_MUTATIONS))
     def test_each_input_flips_exactly_its_own_fingerprint(self, applications, axis):
         app = applications[0]
-        base = classifier_fingerprints(app, BASE_SETTINGS_FP)
-        mutated_app, mutated_fp = FINGERPRINT_MUTATIONS[axis](app)
-        after = classifier_fingerprints(mutated_app, mutated_fp)
-        for key in ("values", "templates", "behaviors", "settings"):
+        base = classifier_fingerprints(app)
+        after = classifier_fingerprints(FINGERPRINT_MUTATIONS[axis](app))
+        for key in ("values", "templates", "behaviors"):
             if key == axis:
                 assert after[key] != base[key], f"{axis} must flip {key}"
             else:
@@ -581,9 +662,9 @@ class TestFingerprintSensitivity:
 
     def test_noop_rebuild_flips_nothing(self, applications):
         app = applications[0]
-        base = classifier_fingerprints(app, BASE_SETTINGS_FP)
+        base = classifier_fingerprints(app)
         rebuilt = noop_touch([app], 0)[0]
-        assert classifier_fingerprints(rebuilt, BASE_SETTINGS_FP) == base
+        assert classifier_fingerprints(rebuilt) == base
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ is byte-identical to from-scratch, the ``--check`` no-op-ratio gate is
 actually wired to numbers the delta benchmark emits (never vacuously
 green), ``insidejob watch`` completes a round over an on-disk chart
 directory, and ``insidejob sweep --since`` reports a delta epoch
-transition over a durable store.
+transition over a durable store -- without a ``StoreIntegrity`` hint when
+the chart set grew, since a delta round moves content by definition.
 """
 
 from __future__ import annotations
@@ -122,3 +123,17 @@ def test_sweep_since_reports_epoch_transition(capsys, tmp_path):
     assert "delta: epoch 1 -> 1" in out
     assert f"{SAMPLE} unchanged" in out
     assert f"store: {SAMPLE} loaded, 0 computed" in out
+
+
+def test_sweep_since_over_a_grown_catalogue_prints_no_hint(capsys, tmp_path):
+    store_dir = str(tmp_path / "store")
+    code = cli_main(["sweep", "--sample", str(SAMPLE), "--store", store_dir])
+    assert code == 0
+    capsys.readouterr()
+    code = cli_main(["sweep", "--sample", str(SAMPLE + 1), "--since", store_dir])
+    captured = capsys.readouterr()
+    assert code == 0
+    # The journal identity moved with the chart set: the epoch advances,
+    # which is the normal course of a delta round, not degradation.
+    assert f"delta: epoch 1 -> 2; {SAMPLE} unchanged, 1 added" in captured.out
+    assert "StoreIntegrity" not in captured.err

@@ -49,6 +49,16 @@ def test_sweep_resume_continues_quietly(capsys, tmp_path):
     assert f"store: {SAMPLE} loaded, 0 computed" in out
 
 
+def test_resume_against_a_different_catalogue_hints(capsys, tmp_path):
+    store_dir = str(tmp_path / "store")
+    run_sweep(capsys, "--store", store_dir)
+    code = cli_main(["sweep", "--sample", str(SAMPLE - 1), "--resume", store_dir])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err.count("StoreIntegrity") == 1
+    assert "journal identity mismatch" in err
+
+
 @pytest.mark.parametrize("damage", ["truncate", "garbage"])
 def test_sweep_over_corrupt_store_hints_and_recomputes(capsys, tmp_path, damage):
     store_dir = tmp_path / "store"
@@ -69,3 +79,14 @@ def test_sweep_over_corrupt_store_hints_and_recomputes(capsys, tmp_path, damage)
     assert code == 0
     assert f"store: {SAMPLE} loaded, 0 computed" in out
     assert "StoreIntegrity" not in err
+
+
+def test_since_over_corrupt_store_still_hints(capsys, tmp_path):
+    store_dir = tmp_path / "store"
+    run_sweep(capsys, "--store", str(store_dir))
+    for path in ResultStore(store_dir).entries():
+        path.write_bytes(b"\x00junk")
+    code, out, err = run_sweep(capsys, "--since", str(store_dir))
+    assert code == 0
+    assert f"{SAMPLE} changed" in out
+    assert err.count("StoreIntegrity") == 1
